@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .edges import EdgePoset, edge_poset, h_poset
+from .edges import EdgePoset, _edge_pairs, edge_poset, h_poset
 from .errors import InternalInconsistency, InvalidParams
 from .perms import direct_product, symmetric, wreath
 from .poset import GradedPoset, PosetMorphism, boolean_algebra, combine
@@ -118,6 +118,27 @@ class PosetAction:
     def stabilizer_maps(self, z):
         return [m for m in self.element_maps.values() if m[z] == z]
 
+    @cached_property
+    def q(self):
+        """The comparison map q: E(P)/G -> E(P/G), built once per action.
+
+        Only q is cached: caching the edge actions and quotients as well keeps
+        E(P)'s EdgePoset (its pair table and index) alive and raises peak memory.
+        """
+        quot = quotient(self)
+        eact, ep = action_on_edges(self, "E")
+        eq = quotient(eact)
+        qe = edge_poset(quot.poset)
+        image = []
+        for rep in eq.reps:
+            x, y = ep.pairs[rep]
+            image.append(qe.index[(quot.orbit_of[x], quot.orbit_of[y])])
+        f = PosetMorphism(eq.poset, qe.poset, image)
+        if len(set(image)) != qe.poset.n:
+            raise InternalInconsistency("q failed to be surjective")
+        bij = eq.poset.n == qe.poset.n
+        return QMap(f, bij, bij and f.is_isomorphism(), eq, qe, quot)
+
 
 @dataclass(frozen=True)
 class QuotientPoset:
@@ -191,7 +212,9 @@ class QMap:
     """The comparison morphism q: E(P)/G -> E(P/G), with its flags.
 
     q is always surjective; it is bijective precisely when the action is CCT,
-    and even then need not be an isomorphism.
+    and even then need not be an isomorphism.  Each action builds its q once
+    (PosetAction.q); the CCT tests, the self-duality witnesses and the CLI
+    records all read that one map and the quotients it carries.
     """
 
     morphism: PosetMorphism
@@ -203,19 +226,7 @@ class QMap:
 
 
 def q_map(A):
-    quot = quotient(A)
-    eact, ep = action_on_edges(A, "E")
-    eq = quotient(eact)
-    qe = edge_poset(quot.poset)
-    image = []
-    for rep in eq.reps:
-        x, y = ep.pairs[rep]
-        image.append(qe.index[(quot.orbit_of[x], quot.orbit_of[y])])
-    f = PosetMorphism(eq.poset, qe.poset, image)
-    if len(set(image)) != qe.poset.n:
-        raise InternalInconsistency("q failed to be surjective")
-    bij = eq.poset.n == qe.poset.n
-    return QMap(f, bij, bij and f.is_isomorphism(), eq, qe, quot)
+    return A.q
 
 
 class CCTResult(NamedTuple):
@@ -246,9 +257,8 @@ def is_cct(A, method="direct"):
     if method == "q-bijective":
         return CCTResult(q_map(A).bijective, None, method)
     if method == "rank-counts":
-        eact, _ = action_on_edges(A, "E")
-        left = quotient(eact).poset.rank_vector
-        right = edge_poset(quotient(A).poset).poset.rank_vector
+        left = A.q.edge_quotient.poset.rank_vector
+        right = A.q.quotient_edges.poset.rank_vector
         return CCTResult(left == right, None, method)
     raise InvalidParams(f"unknown method {method!r}; pick from {CCT_METHODS}")
 
@@ -367,20 +377,19 @@ def complement_self_duality(A):
         raise InvalidParams("requires an induced action on a boolean algebra")
     n = A.poset.n.bit_length() - 1
     full = (1 << n) - 1
-    quot = quotient(A)
-    qe = edge_poset(quot.poset)
+    quot, eq, qe = A.q.base_quotient, A.q.edge_quotient, A.q.quotient_edges
     comp_orbit = [quot.orbit_of[full ^ quot.reps[o]] for o in range(quot.poset.n)]
     image = [qe.index[(comp_orbit[oy], comp_orbit[ox])] for ox, oy in qe.pairs]
     f_qe = PosetMorphism(qe.poset, qe.poset.dual(), image)
     if not f_qe.is_isomorphism():
         raise InternalInconsistency("E(B_n/G) complement witness is not an isomorphism")
 
-    eact, ep = action_on_edges(A, "E")
-    eq = quotient(eact)
+    pairs = _edge_pairs(A.poset)  # the elements of E(B_n), in E's order
+    index = {pair: i for i, pair in enumerate(pairs)}
     image2 = []
     for rep in eq.reps:
-        x, y = ep.pairs[rep]
-        image2.append(eq.orbit_of[ep.index[(full ^ y, full ^ x)]])
+        x, y = pairs[rep]
+        image2.append(eq.orbit_of[index[(full ^ y, full ^ x)]])
     f_eq = PosetMorphism(eq.poset, eq.poset.dual(), image2)
     if not f_eq.is_isomorphism():
         raise InternalInconsistency("E(B_n)/G complement witness is not an isomorphism")

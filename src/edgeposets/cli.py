@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import catalog
 from .actions import (
@@ -156,15 +156,19 @@ def _pad_group(G, n, cap=DEFAULT_GROUP_CAP):
 # -- check ------------------------------------------------------------------
 
 
-def run_checks(source, view, checks, oracle_threshold):
-    """Run the requested checks on a poset source; returns (report, all_pass)."""
+def _load_view(source, view):
+    """The poset a check inspects: the source itself, or its E or H poset."""
     base = load_poset_source(source)
     if view == "edge":
-        P = edge_poset(base).poset
-    elif view == "h":
-        P = h_poset(base).poset
-    else:
-        P = base
+        return edge_poset(base).poset
+    if view == "h":
+        return h_poset(base).poset
+    return base
+
+
+def run_checks(source, view, checks, oracle_threshold):
+    """Run the requested checks on a poset source; returns (report, all_pass)."""
+    P = _load_view(source, view)
     report = {
         "source": source,
         "view": view,
@@ -241,23 +245,9 @@ class SweepRecord:
     rank_vector_h_quotient: list | None = None
 
     def to_dict(self):
-        out = {
-            "group": self.group,
-            "order": self.order,
-            "degree": self.degree,
-            "cct": self.cct,
-            "cct_witness": self.cct_witness,
-            "cct_methods": self.cct_methods,
-            "rank_vector_quotient": self.rank_vector_quotient,
-            "rank_vector_edge_quotient": self.rank_vector_edge_quotient,
-            "rank_vector_quotient_edge": self.rank_vector_quotient_edge,
-            "peck_quotient_edge": self.peck_quotient_edge,
-            "q_bijective": self.q_bijective,
-            "q_is_isomorphism": self.q_is_isomorphism,
-            "seconds": self.seconds,
-        }
-        if self.rank_vector_h_quotient is not None:
-            out["rank_vector_h_quotient"] = self.rank_vector_h_quotient
+        out = asdict(self)
+        if out["rank_vector_h_quotient"] is None:
+            del out["rank_vector_h_quotient"]
         return out
 
 
@@ -293,6 +283,9 @@ def action_record(G, include_h=False, oracle_threshold=12):
     if include_h:
         h_act, _ = action_on_edges(A, "H")
         h_rv = list(quotient(h_act).poset.rank_vector)
+    # q's base quotient refers back to A; dropping A's cached q breaks that
+    # cycle, so both are freed on return, not at the next full collection
+    del A.q
     return SweepRecord(
         group=G.generator_string(),
         order=G.order,
@@ -441,11 +434,7 @@ def cmd_check(args):
             raise InvalidInput(f"unknown check {c!r}; pick from {CHECK_NAMES}")
     report, ok = run_checks(args.source, view, checks, args.oracle_threshold)
     if args.format == "dot":
-        base = load_poset_source(args.source)
-        P = {"edge": lambda: edge_poset(base).poset,
-             "h": lambda: h_poset(base).poset,
-             "base": lambda: base}[view]()
-        _emit(poset_to_dot(P), args.out)
+        _emit(poset_to_dot(_load_view(args.source, view)), args.out)
     elif args.format == "csv":
         _emit(records_to_csv([report]), args.out)
     else:

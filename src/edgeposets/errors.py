@@ -41,10 +41,6 @@ class NotAGroup(InvalidParams):
     """A multiplication table fails the group axioms."""
 
 
-class LeavesNotUniformRank(InvalidParams):
-    """Reserved: a rooted tree whose leaves a caller requires at uniform rank."""
-
-
 class InvalidMorphism(EdgePosetsError):
     """A map between posets is not rank- and cover-preserving."""
 

@@ -101,12 +101,15 @@ def cover_matrix(P, i):
 
 def lefschetz_power_rank(P, i):
     """Exact rank of U^{n-2i} restricted to rank i -> rank n-i, U the all-ones
-    order-raising map."""
+    order-raising map.  Cached on the poset."""
     n = P.max_rank
     if not 0 <= 2 * i < n:
         raise InvalidParams(f"need 0 <= i < {n}/2")
-    mats = [cover_matrix(P, j) for j in range(i, n - i)]
-    return reduce(lambda acc, U: U @ acc, mats[1:], mats[0]).rank()
+    cache = vars(P).setdefault("_lefschetz_ranks", {})
+    if i not in cache:
+        mats = [cover_matrix(P, j) for j in range(i, n - i)]
+        cache[i] = reduce(lambda acc, U: U @ acc, mats[1:], mats[0]).rank()
+    return cache[i]
 
 
 def rank_profile(P):
@@ -192,9 +195,15 @@ def max_k_antichain_union(P, k, oracle_threshold=DEFAULT_ORACLE_THRESHOLD):
     chain sizes are non-increasing, so augmentation stops once a new chain
     would cover at most k elements.  Results are cross-checked against the
     exhaustive layer-peeling search whenever |P| <= oracle_threshold.
+    Cached on the poset per (k, oracle_threshold), so a later call with a
+    higher threshold still runs the cross-check.
     """
     if k < 1:
         raise InvalidParams("need k >= 1")
+    cache = vars(P).setdefault("_antichain_unions", {})
+    key = (k, oracle_threshold)
+    if key in cache:
+        return cache[key]
     n = P.n
     net = _MinCostFlow(2 * n + 2)
     s, t = 2 * n, 2 * n + 1
@@ -223,6 +232,7 @@ def max_k_antichain_union(P, k, oracle_threshold=DEFAULT_ORACLE_THRESHOLD):
             raise InternalInconsistency(
                 f"flow d_{k} = {d} but exhaustive search says {expected}"
             )
+    cache[key] = d
     return d
 
 

@@ -121,12 +121,34 @@ class Permutation:
         return cls(images)
 
 
+def _tuple_close(gens, n, cap=DEFAULT_GROUP_CAP):
+    """Element set of the group generated by one-line tuples on n points,
+    closed breadth-first under left multiplication by the generators."""
+    ident = tuple(range(n))
+    els = {ident}
+    frontier = [ident]
+    apply = [g.__getitem__ for g in gens if g != ident]
+    while frontier:
+        new = []
+        for cur in frontier:
+            for g in apply:
+                nxt = tuple(map(g, cur))
+                if nxt not in els:
+                    if len(els) >= cap:
+                        raise GroupTooLarge(f"group order exceeds cap {cap}")
+                    els.add(nxt)
+                    new.append(nxt)
+        frontier = new
+    return els
+
+
 class PermGroup:
     """Subgroup of S_n with its full element list enumerated at construction.
 
-    Elements are closed under composition and inverse and stored in sorted
-    one-line order, so iteration is deterministic.  Enumeration is capped
-    (default 2,000,000) to keep everything desk-scale.
+    Elements are closed under composition and inverse (by _tuple_close, the
+    closure subgroup_sweep uses too) and stored in sorted one-line order, so
+    iteration is deterministic.  Enumeration is capped (default 2,000,000) to
+    keep everything desk-scale.
     """
 
     def __init__(self, degree, generators, cap=DEFAULT_GROUP_CAP):
@@ -134,26 +156,12 @@ class PermGroup:
         for g in generators:
             if g.degree != degree:
                 raise InvalidParams(f"generator degree {g.degree} != {degree}")
-        ident = Permutation.identity(degree)
-        elements = {ident}
-        frontier = [ident]
-        gens = [g for g in generators if not g.is_identity()]
-        while frontier:
-            new = []
-            for cur in frontier:
-                for g in gens:
-                    nxt = g * cur
-                    if nxt not in elements:
-                        if len(elements) >= cap:
-                            raise GroupTooLarge(f"group order exceeds cap {cap}")
-                        elements.add(nxt)
-                        new.append(nxt)
-            frontier = new
+        closure = _tuple_close([g.images for g in generators], degree, cap)
         self.degree = degree
         self.generators = generators
-        self.elements = tuple(sorted(elements))
-        self.element_set = frozenset(elements)
-        self.order = len(elements)
+        self.elements = tuple(Permutation(t) for t in sorted(closure))
+        self.element_set = frozenset(self.elements)
+        self.order = len(self.elements)
 
     def __contains__(self, g):
         return g in self.element_set
@@ -170,16 +178,6 @@ class PermGroup:
         """Canonical id: cycle strings of a greedy minimal generating set."""
         gens = minimal_generators(self)
         return ";".join(g.cycle_string() for g in gens) if gens else "()"
-
-
-def generate(generators, cap=DEFAULT_GROUP_CAP, degree=None):
-    """Close a generator list; idempotent on full element lists."""
-    generators = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
-    if degree is None:
-        if not generators:
-            raise InvalidParams("need at least one generator or an explicit degree")
-        degree = generators[0].degree
-    return PermGroup(degree, generators, cap)
 
 
 def minimal_generators(G):
@@ -520,23 +518,6 @@ def tree_automorphisms(T, cap=DEFAULT_GROUP_CAP):
 # -- subgroup sweep ----------------------------------------------------------------
 
 
-def _tuple_close(gens, n):
-    ident = tuple(range(n))
-    els = {ident}
-    frontier = [ident]
-    gens = [g for g in gens if g != ident]
-    while frontier:
-        new = []
-        for cur in frontier:
-            for g in gens:
-                nxt = tuple(g[cur[i]] for i in range(n))
-                if nxt not in els:
-                    els.add(nxt)
-                    new.append(nxt)
-        frontier = new
-    return frozenset(els)
-
-
 def subgroup_sweep(n):
     """One PermGroup per subgroup conjugacy class of S_n, for n <= 5.
 
@@ -560,7 +541,7 @@ def subgroup_sweep(n):
             for g in full:
                 if g in H:
                     continue
-                K = _tuple_close(base + [g], n)
+                K = frozenset(_tuple_close(base + [g], n))
                 if K not in subs:
                     subs.add(K)
                     new.append(K)

@@ -154,11 +154,6 @@ class GradedPoset:
         )
 
 
-def build_poset(ranks, covers, labels=None):
-    """Construct a validated GradedPoset from explicit ranks and covers."""
-    return GradedPoset(ranks, covers, labels)
-
-
 def chain(length):
     """Chain with `length` elements at ranks 0..length-1."""
     return GradedPoset(range(length), [(i, i + 1) for i in range(length - 1)])

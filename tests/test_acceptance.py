@@ -256,7 +256,7 @@ def test_12_antichain_union_oracle():
         ep.boolean_algebra(3),
         ep.chain(5),
         ep.antichain(5),
-        ep.build_poset([0, 1, 1, 2], [(0, 1), (0, 2), (1, 3), (2, 3)]),
+        ep.GradedPoset([0, 1, 1, 2], [(0, 1), (0, 2), (1, 3), (2, 3)]),
     ]
     ok = True
     for P in posets:

@@ -23,7 +23,7 @@ class TestPosetAction:
     def test_rejects_relation_violation(self):
         # C_2 generator sent to a 4-cycle on an antichain: squares to a
         # double transposition, not the identity
-        G = ep.generate([Permutation.from_cycles("(1 2)", 2)])
+        G = ep.PermGroup(2, [Permutation.from_cycles("(1 2)", 2)])
         A = ep.PosetAction(G, ep.antichain(4), [(1, 2, 3, 0)])
         with pytest.raises(InternalInconsistency):
             A.element_maps
@@ -106,6 +106,25 @@ class TestQMap:
         assert not qm.bijective
         assert qm.edge_quotient.poset.rank_vector == (1, 2, 1)
         assert qm.quotient_edges.poset.rank_vector == (1, 1, 1)
+
+    def test_built_once_per_action(self):
+        A = ep.induced_bn_action(ep.cyclic(4))
+        assert ep.q_map(A) is ep.q_map(A)
+
+    @pytest.mark.parametrize(
+        "family,n", [("cyclic", 3), ("cyclic", 6), ("dihedral", 5), ("symmetric", 4)]
+    )
+    def test_matches_rebuilt_quotients(self, family, n):
+        # the quotients q carries equal E(P)/G and E(P/G) rebuilt independently
+        # on a fresh action, as the rank-counts CCT test once built them
+        fresh = ep.induced_bn_action(ep.named_group(family, n))
+        rebuilt = (
+            ep.quotient(action_on_edges(fresh, "E")[0]).poset,
+            ep.edge_poset(ep.quotient(fresh).poset).poset,
+        )
+        qm = ep.q_map(ep.induced_bn_action(ep.named_group(family, n)))
+        for old, new in zip(rebuilt, (qm.edge_quotient.poset, qm.quotient_edges.poset)):
+            assert (old.ranks, old.covers, old.labels) == (new.ranks, new.covers, new.labels)
 
     def test_surjectivity_rank_counts(self, rng):
         # |E(P)/G|_i >= |E(P/G)|_i pointwise, a consequence of surjectivity

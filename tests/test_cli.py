@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from edgeposets import cli
+import edgeposets as ep
+from edgeposets import actions, cli, peck
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -54,6 +58,14 @@ class TestCheck:
     def test_edge_hpos_conflict(self, capsys):
         code, _, _ = run(capsys, "check", "bn:2", "--edge", "--hpos", "--checks=ranks")
         assert code == 2
+
+    def test_ranks_and_unitary_share_lefschetz_ranks(self, capsys, monkeypatch):
+        ranks = []
+        real = peck.ExactMatrix.rank
+        monkeypatch.setattr(peck.ExactMatrix, "rank", lambda m: ranks.append(m) or real(m))
+        _, out, _ = run(capsys, "check", "bn:5", "--edge", "--checks=ranks,unitary-peck")
+        computed = json.loads(out)["checks"]["unitary-peck"]["lefschetz_ranks"]
+        assert len(ranks) == len(computed) == 2
 
     def test_json_poset_file(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -189,10 +201,32 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 2 and rows[0]["order"] == "1"
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_recorded_jsonl(self, n, tmp_path):
+        # tests/data/sweep_n{n}.jsonl: `sweep --n n` output recorded before the
+        # per-action caches landed, with each record's `seconds` removed
+        target = tmp_path / "records.jsonl"
+        assert cli.main(["sweep", "--n", str(n), "--out", str(target)]) == 0
+        lines = []
+        for line in target.read_text().splitlines():
+            record = json.loads(line)
+            del record["seconds"]
+            lines.append(json.dumps(record) + "\n")
+        assert "".join(lines).encode() == (DATA / f"sweep_n{n}.jsonl").read_bytes()
+
     def test_consistency_guard_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "is_peck", lambda *a, **k: False)
         code, _, err = run(capsys, "sweep", "--n", "1")
         assert code == 3 and "internal inconsistency" in err
+
+
+class TestActionRecord:
+    def test_builds_each_edge_poset_once(self, monkeypatch):
+        built = []
+        real = actions.edge_poset
+        monkeypatch.setattr(actions, "edge_poset", lambda P: built.append(P.n) or real(P))
+        cli.action_record(ep.cyclic(4))
+        assert built == [16, 6]  # E(B_4), then E(B_4/C_4)
 
 
 class TestPak:

@@ -10,7 +10,7 @@ from conftest import graded_posets, inflate, random_graded_poset
 
 
 def diamond():
-    return ep.build_poset([0, 1, 1, 2], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    return ep.GradedPoset([0, 1, 1, 2], [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
 class TestEdgePoset:

@@ -71,12 +71,12 @@ class TestRankProfile:
         assert ep.rank_profile(P) == (True, False)
 
     def test_asymmetric_unimodal(self):
-        P = ep.build_poset([0, 1, 1, 2, 2], [(0, 1), (0, 2), (1, 3), (2, 4)])
+        P = ep.GradedPoset([0, 1, 1, 2, 2], [(0, 1), (0, 2), (1, 3), (2, 4)])
         assert P.rank_vector == (1, 2, 2)
         assert ep.rank_profile(P) == (False, True)
 
     def test_neither(self):
-        P = ep.build_poset([0, 0, 0, 1, 2, 2], [(0, 3), (3, 4), (3, 5)])
+        P = ep.GradedPoset([0, 0, 0, 1, 2, 2], [(0, 3), (3, 4), (3, 5)])
         assert P.rank_vector == (3, 1, 2)
         assert ep.rank_profile(P) == (False, False)
 
@@ -109,7 +109,7 @@ class TestUnitaryPeck:
         assert ep.is_unitary_peck(ep.edge_poset(ep.boolean_algebra(4)).poset)
 
     def test_two_rank_antichain_fails(self):
-        P = ep.build_poset([0, 1], [])
+        P = ep.GradedPoset([0, 1], [])
         assert not ep.is_unitary_peck(P)
 
     def test_fig2(self):
@@ -137,6 +137,24 @@ class TestAntichainUnions:
         with pytest.raises(InvalidParams):
             ep.max_k_antichain_union(ep.chain(2), 0)
 
+    def test_memo_reruns_oracle_at_higher_threshold(self, monkeypatch):
+        from edgeposets import peck
+
+        flows, oracles = [], []
+        real_flow, real_table = peck._MinCostFlow, peck._antichain_union_table
+        monkeypatch.setattr(peck, "_MinCostFlow", lambda n: flows.append(n) or real_flow(n))
+        monkeypatch.setattr(
+            peck, "_antichain_union_table", lambda P: oracles.append(P) or real_table(P)
+        )
+        b3 = ep.boolean_algebra(3)
+        assert ep.max_k_antichain_union(b3, 2, oracle_threshold=0) == 6
+        assert ep.max_k_antichain_union(b3, 2, oracle_threshold=0) == 6
+        assert (len(flows), len(oracles)) == (1, 0)
+        # the memoised d_2 was never cross-checked, so a threshold that
+        # covers |B_3| = 8 must run the exhaustive oracle
+        assert ep.max_k_antichain_union(b3, 2, oracle_threshold=8) == 6
+        assert len(oracles) == 1
+
     @given(graded_posets(max_ranks=4, max_width=3))
     def test_flow_matches_brute_force(self, P):
         # the call itself cross-checks below the oracle threshold; compare
@@ -162,7 +180,7 @@ class TestSperner:
     def test_broken_diamond_fails(self):
         # one 3-chain plus an isolated bottom and an isolated top: the three
         # chain-free elements are an antichain of size 3 > every rank size 2
-        P = ep.build_poset([0, 0, 1, 2, 2], [(0, 2), (2, 3)])
+        P = ep.GradedPoset([0, 0, 1, 2, 2], [(0, 2), (2, 3)])
         assert P.rank_vector == (2, 1, 2)
         assert ep.max_k_antichain_union(P, 1) == 3
         assert not ep.is_strongly_sperner(P)
@@ -214,7 +232,7 @@ class TestSCD:
             ep.ChainDecomposition(P, ((0, 1), (2,)))
 
     def test_validation_rejects_unsaturated(self):
-        P = ep.build_poset([0, 1, 1], [(0, 1)])
+        P = ep.GradedPoset([0, 1, 1], [(0, 1)])
         with pytest.raises(InvalidChainDecomposition):
             ep.ChainDecomposition(P, ((0, 2), (1,)))
 
@@ -225,7 +243,7 @@ class TestSCD:
 
     def test_transport_rejects_relation_loss(self):
         # collapsing a 2-chain onto an antichain breaks saturation
-        loose = ep.build_poset([0, 1], [])
+        loose = ep.GradedPoset([0, 1], [])
         D = ep.scd_boolean(1)
         with pytest.raises(InvalidParams):
             ep.scd_transport(D, ep.PosetMorphism.identity(loose))

@@ -44,7 +44,7 @@ class TestPermutation:
 
 class TestGenerate:
     def test_cyclic_order(self):
-        G = ep.generate([Permutation.from_cycles("(1 2 3 4)")])
+        G = ep.PermGroup(4, [Permutation.from_cycles("(1 2 3 4)")])
         assert G.order == 4
 
     def test_dihedral_on_five_points(self):
@@ -53,12 +53,12 @@ class TestGenerate:
 
     def test_idempotent(self):
         G = ep.dihedral(4)
-        again = ep.generate(list(G.elements))
+        again = ep.PermGroup(G.degree, list(G.elements))
         assert again.element_set == G.element_set
 
     def test_cap(self):
         with pytest.raises(GroupTooLarge):
-            ep.generate(ep.symmetric(5).generators, cap=100)
+            ep.PermGroup(5, ep.symmetric(5).generators, cap=100)
 
     def test_deterministic_element_order(self):
         a = ep.symmetric(3).elements
@@ -346,5 +346,5 @@ class TestGeneratorFiles:
     def test_minimal_generators(self):
         G = ep.symmetric(4)
         gens = minimal_generators(G)
-        assert ep.generate(gens, degree=4).order == 24
+        assert ep.PermGroup(4, gens).order == 24
         assert len(gens) <= 3

@@ -18,7 +18,7 @@ from conftest import graded_posets, random_graded_poset, shuffle_poset
 
 class TestBuild:
     def test_three_chain(self):
-        P = ep.build_poset([0, 1, 2], [(0, 1), (1, 2)])
+        P = ep.GradedPoset([0, 1, 2], [(0, 1), (1, 2)])
         assert P.n == 3 and P.rank_vector == (1, 1, 1)
 
     def test_fig1_rank_vector(self):
@@ -26,19 +26,19 @@ class TestBuild:
 
     def test_rank_jump_rejected(self):
         with pytest.raises(NotGraded):
-            ep.build_poset([0, 1, 2], [(0, 2)])
+            ep.GradedPoset([0, 1, 2], [(0, 2)])
 
     def test_duplicate_cover_rejected(self):
         with pytest.raises(DuplicateCover):
-            ep.build_poset([0, 1], [(0, 1), (0, 1)])
+            ep.GradedPoset([0, 1], [(0, 1), (0, 1)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexOutOfRange):
-            ep.build_poset([0, 1], [(0, 5)])
+            ep.GradedPoset([0, 1], [(0, 5)])
 
     def test_self_cover_rejected(self):
         with pytest.raises(NotGraded):
-            ep.build_poset([0, 1], [(1, 1)])
+            ep.GradedPoset([0, 1], [(1, 1)])
 
 
 class TestBooleanAlgebra:
@@ -135,7 +135,7 @@ class TestCombine:
 
 class TestIsomorphism:
     def test_b2_vs_diamond(self):
-        diamond = ep.build_poset([0, 1, 1, 2], [(0, 1), (0, 2), (1, 3), (2, 3)])
+        diamond = ep.GradedPoset([0, 1, 1, 2], [(0, 1), (0, 2), (1, 3), (2, 3)])
         found, witness = ep.is_isomorphic(ep.boolean_algebra(2), diamond)
         assert found and sorted(witness) == [0, 1, 2, 3]
 
@@ -162,8 +162,8 @@ class TestIsomorphism:
 
     def test_same_profile_non_isomorphic(self):
         # two rank vectors (2, 2) posets: a 2x2 crown vs two parallel chains
-        crown = ep.build_poset([0, 0, 1, 1], [(0, 2), (0, 3), (1, 2), (1, 3)])
-        chains = ep.build_poset([0, 0, 1, 1], [(0, 2), (1, 3)])
+        crown = ep.GradedPoset([0, 0, 1, 1], [(0, 2), (0, 3), (1, 2), (1, 3)])
+        chains = ep.GradedPoset([0, 0, 1, 1], [(0, 2), (1, 3)])
         assert not ep.is_isomorphic(crown, chains)[0]
 
 
@@ -179,12 +179,12 @@ class TestMorphism:
 
     def test_cover_violation(self):
         P = ep.chain(2)
-        Q = ep.build_poset([0, 1], [])
+        Q = ep.GradedPoset([0, 1], [])
         with pytest.raises(InvalidMorphism):
             ep.PosetMorphism(P, Q, [0, 1])
 
     def test_bijective_morphism_need_not_be_isomorphism(self):
-        loose = ep.build_poset([0, 1], [])
+        loose = ep.GradedPoset([0, 1], [])
         f = ep.PosetMorphism(loose, ep.chain(2), [0, 1])
         assert f.is_bijective() and not f.is_isomorphism()
 
@@ -196,7 +196,7 @@ class TestMorphism:
 
     def test_inverse_roundtrip(self):
         P = ep.boolean_algebra(2)
-        diamond = ep.build_poset([0, 1, 1, 2], [(0, 1), (0, 2), (1, 3), (2, 3)])
+        diamond = ep.GradedPoset([0, 1, 1, 2], [(0, 1), (0, 2), (1, 3), (2, 3)])
         _, witness = ep.is_isomorphic(P, diamond)
         f = ep.PosetMorphism(P, diamond, witness)
         assert f.inverse().then(f).image == tuple(range(P.n))
