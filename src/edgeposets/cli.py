@@ -3,9 +3,11 @@ by group actions, sweep subgroup conjugacy classes for Peck failures of the
 quotient edge poset, and print box-partition statistics.
 
 Exit codes: 0 all requested properties hold, 1 some property fails, 2 bad
-input, 3 internal inconsistency (a proved identity failed, i.e. a bug).
+input, 3 internal inconsistency (a proved identity failed, or any other
+unexpected exception, i.e. a bug).
 Every flag can also be set through an environment variable with prefix EPL_
-(e.g. EPL_FORMAT, EPL_JOBS).
+(e.g. EPL_FORMAT, EPL_JOBS); integer values are parsed like the flag itself,
+so a bad one exits 2 with a usage message.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .actions import (
 from .edges import edge_poset, h_poset, h_to_e_bijection
 from .errors import EdgePosetsError, InternalInconsistency, InvalidInput
 from .peck import (
+    DEFAULT_ORACLE_THRESHOLD,
     is_peck,
     is_strongly_sperner,
     is_unitary_peck,
@@ -71,16 +74,6 @@ def _env(name):
 def _env_flag(name):
     val = _env(name)
     return val is not None and val.lower() not in ("", "0", "false", "no")
-
-
-def _env_int(name, fallback):
-    val = _env(name)
-    return int(val) if val is not None else fallback
-
-
-def _env_int_opt(name):
-    val = _env(name)
-    return int(val) if val else None
 
 
 # -- sources ----------------------------------------------------------------
@@ -185,9 +178,7 @@ def run_checks(source, view, checks, oracle_threshold):
             entry = {"passed": is_peck(P, oracle_threshold)}
         elif name == "unitary-peck":
             n = P.max_rank
-            ranks = {
-                str(i): lefschetz_power_rank(P, i) for i in range(0, (n + 1) // 2) if 2 * i < n
-            }
+            ranks = {str(i): lefschetz_power_rank(P, i) for i in range((n + 1) // 2)}
             entry = {"passed": is_unitary_peck(P), "lefschetz_ranks": ranks}
         elif name == "sperner":
             table = {
@@ -251,7 +242,7 @@ class SweepRecord:
         return out
 
 
-def action_record(G, include_h=False, oracle_threshold=12):
+def action_record(G, include_h=False, oracle_threshold=DEFAULT_ORACLE_THRESHOLD):
     """Analyze the induced action of G on B_{deg G} and bundle the results."""
     start = time.perf_counter()
     A = induced_bn_action(G)
@@ -310,7 +301,13 @@ def _sweep_worker(args):
     return action_record(G, oracle_threshold=oracle_threshold)
 
 
-def sweep_records(n, jobs=1, group_cap=DEFAULT_GROUP_CAP, oracle_threshold=12, groups=None):
+def sweep_records(
+    n,
+    jobs=1,
+    group_cap=DEFAULT_GROUP_CAP,
+    oracle_threshold=DEFAULT_ORACLE_THRESHOLD,
+    groups=None,
+):
     """One record per subgroup conjugacy class of S_n (or per supplied group),
     in deterministic (order, generator string) order."""
     if groups is None:
@@ -389,29 +386,28 @@ def build_parser():
                    default=_env("FORMAT") or "json")
     p.add_argument("--out", default=_env("OUT"))
     p.add_argument("--oracle-threshold", type=int,
-                   default=_env_int("ORACLE_THRESHOLD", 12))
+                   default=_env("ORACLE_THRESHOLD") or DEFAULT_ORACLE_THRESHOLD)
 
     p = sub.add_parser("quotient", help="analyze the induced action of a group on B_n")
     p.add_argument("--group", default=_env("GROUP"),
                    help="FAMILY:PARAMS, e.g. dihedral:9, cyclic:6, symmetric:4, "
                         "hyperoctahedral:3, trivial")
     p.add_argument("--gens", default=_env("GENS"), help="generator file, one cycle-notation permutation per line")
-    p.add_argument("--n", type=int, default=_env_int_opt("N"))
+    p.add_argument("--n", type=int, default=_env("N") or None)
     p.add_argument("--format", choices=("json", "csv"), default=_env("FORMAT") or "json")
     p.add_argument("--out", default=_env("OUT"))
-    p.add_argument("--group-cap", type=int, default=_env_int("GROUP_CAP", DEFAULT_GROUP_CAP))
-    p.add_argument("--oracle-threshold", type=int, default=_env_int("ORACLE_THRESHOLD", 12))
+    p.add_argument("--group-cap", type=int, default=_env("GROUP_CAP") or DEFAULT_GROUP_CAP)
+    p.add_argument("--oracle-threshold", type=int, default=_env("ORACLE_THRESHOLD") or DEFAULT_ORACLE_THRESHOLD)
 
     p = sub.add_parser("sweep", help="sweep subgroup conjugacy classes of S_n")
-    p.add_argument("--n", type=int, required=_env("N") is None,
-                   default=_env_int_opt("N"))
+    p.add_argument("--n", type=int, required=not _env("N"), default=_env("N") or None)
     p.add_argument("--gens", nargs="*", default=None,
                    help="generator files; skips the exhaustive subgroup enumeration")
-    p.add_argument("--jobs", type=int, default=_env_int("JOBS", 1))
+    p.add_argument("--jobs", type=int, default=_env("JOBS") or 1)
     p.add_argument("--format", choices=("json", "csv"), default=_env("FORMAT") or "json")
     p.add_argument("--out", default=_env("OUT"))
-    p.add_argument("--group-cap", type=int, default=_env_int("GROUP_CAP", DEFAULT_GROUP_CAP))
-    p.add_argument("--oracle-threshold", type=int, default=_env_int("ORACLE_THRESHOLD", 12))
+    p.add_argument("--group-cap", type=int, default=_env("GROUP_CAP") or DEFAULT_GROUP_CAP)
+    p.add_argument("--oracle-threshold", type=int, default=_env("ORACLE_THRESHOLD") or DEFAULT_ORACLE_THRESHOLD)
 
     p = sub.add_parser("pak", help="box-partition count sequence with verdicts")
     p.add_argument("--l", type=int, required=True, help="rows of the box")
@@ -514,6 +510,10 @@ def main(argv=None):
     except EdgePosetsError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        # any other exception is a bug, not a finding: never exit 1 on it
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

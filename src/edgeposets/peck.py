@@ -3,8 +3,9 @@ and unitary Peck properties, plus symmetric chain decompositions.
 
 All linear algebra runs over arbitrary-precision integers (fraction-free
 Bareiss elimination); the k-antichain numbers d_k come from Greene-Kleitman
-duality via minimum-cost flow on the split-element comparability network, and
-are cross-checked against an exhaustive search on small posets.
+duality: one minimum-cost flow on the split-element cover network, where
+bypass arcs let chains pass elements they do not count, gives every d_k, and
+small posets are cross-checked against an exhaustive search.
 """
 
 from __future__ import annotations
@@ -133,9 +134,7 @@ def is_unitary_peck(P):
     n-i (for i below the middle) is an isomorphism."""
     n = P.max_rank
     vec = P.rank_vector
-    for i in range(0, (n + 1) // 2):
-        if 2 * i >= n:
-            break
+    for i in range((n + 1) // 2):
         if vec[i] != vec[n - i]:
             return False
         if lefschetz_power_rank(P, i) != vec[i]:
@@ -186,53 +185,69 @@ class _MinCostFlow:
         return dist[t]
 
 
+def _chain_gains(P):
+    """Marginal chain sizes g_1 >= g_2 >= ... of one successive-shortest-path
+    flow on the cover network of P, keeping only gains above 1.  Cached on
+    the poset.
+
+    Each element v splits into in_v/out_v, with arcs s -> in_v and
+    out_v -> t of capacity 1, a counting arc in_v -> out_v of capacity 1 and
+    cost -1, a parallel bypass arc in_v -> out_v of capacity n and cost 0, and
+    an arc out_x -> in_y of capacity n and cost 0 for every cover (x, y).
+
+    Why this is exact:
+    - a flow of value j splits into j paths; the counted elements on those
+      paths form disjoint chains, and bypass arcs let a chain pass through an
+      element without counting it;
+    - cover arcs carry capacity n because several chains may pass the same
+      uncounted element;
+    - apart from in_v -> out_v, rank rises along every arc between elements,
+      so the network is a DAG and the first Bellman-Ford search meets no
+      negative cycle;
+    - successive shortest paths give non-increasing gains, so the best total
+      overflow of j disjoint chains over k, maximised over j,
+      max_j (g_1 + ... + g_j - jk), equals sum((g - k)+).  A gain of at most
+      1 adds nothing to that sum for any k >= 1, so augmentation stops there.
+    """
+    gains = vars(P).get("_chain_gains")
+    if gains is None:
+        n = P.n
+        net = _MinCostFlow(2 * n + 2)
+        s, t = 2 * n, 2 * n + 1
+        for v in range(n):
+            net.add(s, 2 * v, 1, 0)
+            net.add(2 * v, 2 * v + 1, 1, -1)
+            net.add(2 * v, 2 * v + 1, n, 0)
+            net.add(2 * v + 1, t, 1, 0)
+        for x, y in P.covers:
+            net.add(2 * x + 1, 2 * y, n, 0)
+        gains = []
+        while (cost := net.augment_unit(s, t)) is not None and cost < -1:
+            gains.append(-cost)
+        P._chain_gains = gains
+    return gains
+
+
 def max_k_antichain_union(P, k, oracle_threshold=DEFAULT_ORACLE_THRESHOLD):
     """Largest union of k antichains, exactly.
 
     By Greene-Kleitman duality this is |P| minus the best total chain overflow
-    sum((|C| - k)+) over chain partitions; disjoint chains are grown one at a
-    time as cheapest source-sink paths through split elements, and marginal
-    chain sizes are non-increasing, so augmentation stops once a new chain
-    would cover at most k elements.  Results are cross-checked against the
-    exhaustive layer-peeling search whenever |P| <= oracle_threshold.
-    Cached on the poset per (k, oracle_threshold), so a later call with a
-    higher threshold still runs the cross-check.
+    sum((|C| - k)+) over chain partitions.  That is sum((g - k)+) over the
+    chain gains g of one min-cost flow on the split-element cover network,
+    whose bypass arcs let a chain pass elements it does not count (see
+    _chain_gains); every k reads the same gains, cached on P.  Results are
+    cross-checked against the exhaustive layer-peeling search whenever
+    |P| <= oracle_threshold.
     """
     if k < 1:
         raise InvalidParams("need k >= 1")
-    cache = vars(P).setdefault("_antichain_unions", {})
-    key = (k, oracle_threshold)
-    if key in cache:
-        return cache[key]
-    n = P.n
-    net = _MinCostFlow(2 * n + 2)
-    s, t = 2 * n, 2 * n + 1
-    for v in range(n):
-        net.add(s, 2 * v, 1, 0)
-        net.add(2 * v, 2 * v + 1, 1, -1)
-        net.add(2 * v + 1, t, 1, 0)
-    for u in range(n):
-        for v in range(n):
-            if u != v and P.leq(u, v):
-                net.add(2 * u + 1, 2 * v, 1, 0)
-    overflow = 0
-    while True:
-        cost = net.augment_unit(s, t)
-        if cost is None:
-            break
-        gain = -cost
-        if gain <= k:
-            break
-        overflow += gain - k
-    d = n - overflow
-    if n <= oracle_threshold:
-        table = _antichain_union_table(P)
-        expected = table[min(k, n)]
+    d = P.n - sum(g - k for g in _chain_gains(P) if g > k)
+    if P.n <= oracle_threshold:
+        expected = _antichain_union_table(P)[min(k, P.n)]
         if d != expected:
             raise InternalInconsistency(
                 f"flow d_{k} = {d} but exhaustive search says {expected}"
             )
-    cache[key] = d
     return d
 
 

@@ -15,6 +15,7 @@ from functools import cached_property
 from .errors import (
     DuplicateCover,
     IndexOutOfRange,
+    InternalInconsistency,
     InvalidMorphism,
     InvalidParams,
     NotGraded,
@@ -285,38 +286,38 @@ def is_isomorphic(P, Q):
     used = [False] * Q.n
     qcovers = Q.cover_set
 
-    def place(pos):
-        if pos == P.n:
-            return True
-        p = order[pos]
-        for q in cand[(P.ranks[p], cp[p])]:
-            if used[q]:
-                continue
-            ok = True
-            for u in P.up[p]:
-                if mapping[u] != -1 and (q, mapping[u]) not in qcovers:
-                    ok = False
-                    break
-            if ok:
-                for d in P.down[p]:
-                    if mapping[d] != -1 and (mapping[d], q) not in qcovers:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[p] = q
-            used[q] = True
-            if place(pos + 1):
-                return True
-            mapping[p] = -1
-            used[q] = False
-        return False
+    def fits(p, q):
+        # every placed upper and lower cover of p must stay a cover under p -> q
+        ups = all(mapping[u] == -1 or (q, mapping[u]) in qcovers for u in P.up[p])
+        return ups and all(mapping[d] == -1 or (mapping[d], q) in qcovers for d in P.down[p])
 
-    if not place(0):
+    # explicit backtracking stack: stack[pos] is the next candidate index to
+    # try for element order[pos]; the search has found a bijection once every
+    # element is placed
+    stack = [0]
+    while stack and len(stack) <= P.n:
+        pos = len(stack) - 1
+        p = order[pos]
+        if mapping[p] != -1:
+            used[mapping[p]] = False
+            mapping[p] = -1
+        options = cand[(P.ranks[p], cp[p])]
+        i = stack[pos]
+        while i < len(options) and (used[options[i]] or not fits(p, options[i])):
+            i += 1
+        if i == len(options):
+            stack.pop()
+            continue
+        stack[pos] = i + 1
+        mapping[p] = options[i]
+        used[options[i]] = True
+        stack.append(0)
+    if not stack:
         return False, None
     witness = tuple(mapping)
     # final verification: all covers map to covers (inverse follows by counting)
-    assert all((witness[x], witness[y]) in qcovers for x, y in P.covers)
+    if not all((witness[x], witness[y]) in qcovers for x, y in P.covers):
+        raise InternalInconsistency("isomorphism search returned a non-cover image")
     return True, witness
 
 
@@ -409,12 +410,25 @@ def poset_to_json(P):
 
 
 def poset_from_json(obj):
+    """Poset from the dict form of poset_to_json; malformed input raises
+    InvalidParams rather than reaching GradedPoset."""
     try:
         ranks = obj["ranks"]
-        covers = [tuple(c) for c in obj["covers"]]
+        covers = obj["covers"]
+        labels = obj.get("labels")
     except (KeyError, TypeError) as exc:
         raise InvalidParams(f"poset JSON needs 'ranks' and 'covers': {exc}") from exc
-    return GradedPoset(ranks, covers, obj.get("labels"))
+    # type(...) is int also rejects bools and floats, which int() would accept
+    if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
+        raise InvalidParams("poset JSON 'ranks' must be a list of integers")
+    if not isinstance(covers, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(type(v) is int for v in c)
+        for c in covers
+    ):
+        raise InvalidParams("poset JSON 'covers' must be a list of [low, high] integer pairs")
+    if labels is not None and not isinstance(labels, list):
+        raise InvalidParams("poset JSON 'labels' must be a list")
+    return GradedPoset(ranks, [tuple(c) for c in covers], labels)
 
 
 def poset_to_dot(P, name="poset"):

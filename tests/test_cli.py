@@ -74,6 +74,38 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["rank_vector"] == [1, 1]
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"ranks": [0, 1], "covers": [[0, 1, 2]]},
+            {"ranks": [0, 1], "covers": [[0]]},
+            {"ranks": [0, "a"], "covers": []},
+            {"ranks": [0, 1.5], "covers": []},
+            {"ranks": [0, 1], "covers": [[0, 1]], "labels": "ab"},
+        ],
+        ids=["three-int-cover", "one-int-cover", "string-rank", "float-rank", "label-string"],
+    )
+    def test_malformed_json_poset_exits_2(self, obj, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "check", str(path), "--checks=ranks")
+        assert code == 2 and err.startswith("error: poset JSON")
+
+    def test_self_dual_b10(self, capsys):
+        # 1024 elements: deeper than the default recursion limit
+        code, out, _ = run(capsys, "check", "bn:10", "--checks=self-dual")
+        assert code == 0
+        assert json.loads(out)["checks"]["self-dual"]["passed"] is True
+
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        def crash(P):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "is_self_dual", crash)
+        code, _, err = run(capsys, "check", "bn:2", "--checks=self-dual")
+        assert code == 3
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
     def test_dot_format(self, capsys):
         code, out, _ = run(capsys, "check", "bn:2", "--checks=ranks", "--format", "dot")
         assert code == 0 and out.startswith("digraph")
@@ -183,6 +215,13 @@ class TestSweep:
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
         assert records[0]["order"] == 7
+
+    def test_bad_env_int_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("EPL_JOBS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--n", "2"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
 
     def test_large_n_without_gens_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--n", "6")

@@ -10,9 +10,35 @@ from edgeposets.errors import (
     InvalidChainDecomposition,
     InvalidParams,
 )
+from edgeposets import peck
 from edgeposets.peck import ExactMatrix, cover_matrix
 
 from conftest import graded_posets, random_graded_poset
+
+
+def comparability_flow_d(P, k):
+    """Reference d_k: the per-k flow on the split-element comparability
+    network (an arc out_u -> in_v for every u < v), stopped once a new chain
+    would cover at most k elements."""
+    n = P.n
+    net = peck._MinCostFlow(2 * n + 2)
+    s, t = 2 * n, 2 * n + 1
+    for v in range(n):
+        net.add(s, 2 * v, 1, 0)
+        net.add(2 * v, 2 * v + 1, 1, -1)
+        net.add(2 * v + 1, t, 1, 0)
+    for u in range(n):
+        for v in range(n):
+            if u != v and P.leq(u, v):
+                net.add(2 * u + 1, 2 * v, 1, 0)
+    overflow = 0
+    while (cost := net.augment_unit(s, t)) is not None and -cost > k:
+        overflow += -cost - k
+    return n - overflow
+
+
+def quotient_edge_poset(G):
+    return ep.q_map(ep.induced_bn_action(G)).quotient_edges.poset
 
 
 def fraction_rank(entries):
@@ -138,8 +164,6 @@ class TestAntichainUnions:
             ep.max_k_antichain_union(ep.chain(2), 0)
 
     def test_memo_reruns_oracle_at_higher_threshold(self, monkeypatch):
-        from edgeposets import peck
-
         flows, oracles = [], []
         real_flow, real_table = peck._MinCostFlow, peck._antichain_union_table
         monkeypatch.setattr(peck, "_MinCostFlow", lambda n: flows.append(n) or real_flow(n))
@@ -154,6 +178,41 @@ class TestAntichainUnions:
         # covers |B_3| = 8 must run the exhaustive oracle
         assert ep.max_k_antichain_union(b3, 2, oracle_threshold=8) == 6
         assert len(oracles) == 1
+
+    def test_one_network_per_poset(self, monkeypatch):
+        flows = []
+        real_flow = peck._MinCostFlow
+        monkeypatch.setattr(peck, "_MinCostFlow", lambda n: flows.append(n) or real_flow(n))
+        P = ep.edge_poset(ep.boolean_algebra(4)).poset
+        assert P.n == 32 > peck.DEFAULT_ORACLE_THRESHOLD
+        assert ep.is_strongly_sperner(P)
+        assert ep.is_peck(P)
+        table = [ep.max_k_antichain_union(P, k) for k in range(1, len(P.rank_vector) + 2)]
+        assert table == [12, 24, 28, 32, 32]
+        assert flows == [2 * P.n + 2]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ep.edge_poset(ep.boolean_algebra(5)).poset,
+            lambda: ep.h_poset(ep.boolean_algebra(5)).poset,
+            lambda: quotient_edge_poset(ep.cyclic(6)),
+            lambda: quotient_edge_poset(ep.dihedral(6)),
+            lambda: quotient_edge_poset(
+                ep.PermGroup(6, [ep.Permutation([1, 0, 3, 2, 4, 5])])
+            ),
+        ],
+        ids=["E(B5)", "H(B5)", "E(B6/C6)", "E(B6/D6)", "E(B6/<(12)(34)>)"],
+    )
+    def test_cover_flow_matches_comparability_flow(self, make):
+        # above the exhaustive oracle's reach: the per-k comparability-network
+        # flow is the reference for the whole d-table
+        P = make()
+        assert P.n > peck.DEFAULT_ORACLE_THRESHOLD
+        ks = range(1, len(P.rank_vector) + 1)
+        assert [ep.max_k_antichain_union(P, k) for k in ks] == [
+            comparability_flow_d(P, k) for k in ks
+        ]
 
     @given(graded_posets(max_ranks=4, max_width=3))
     def test_flow_matches_brute_force(self, P):
