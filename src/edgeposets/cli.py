@@ -47,6 +47,7 @@ from .peck import (
 )
 from .perms import (
     DEFAULT_GROUP_CAP,
+    SWEEP_MAX_N,
     PermGroup,
     Permutation,
     named_group,
@@ -90,24 +91,24 @@ def load_poset_source(source):
         return catalog.named_poset(source)
     if source.startswith("tree:"):
         return load_tree(source[5:]).poset
-    try:
-        with open(source) as fh:
-            return poset_from_json(json.load(fh))
-    except OSError as exc:
-        raise InvalidInput(f"cannot read poset source {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"bad JSON in {source!r}: {exc}") from exc
+    return poset_from_json(_load_json(source, "poset source"))
 
 
 def load_tree(path):
+    return tree_from_children(_load_json(path, "tree file"))
+
+
+def _load_json(path, what):
     try:
         with open(path) as fh:
-            spec = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise InvalidInput(f"cannot read tree file {path!r}: {exc}") from exc
+        raise InvalidInput(f"cannot read {what} {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"bad JSON in {path!r}: {exc}") from exc
-    return tree_from_children(spec)
+    except RecursionError as exc:
+        # the json decoder recurses once per nesting level
+        raise InvalidInput(f"JSON in {path!r} is nested too deeply") from exc
 
 
 def load_group(spec=None, gens_path=None, n=None, cap=DEFAULT_GROUP_CAP):
@@ -454,8 +455,10 @@ def cmd_sweep(args):
         groups = []
         for path in args.gens:
             groups.append(load_group(None, path, args.n, args.group_cap))
-    elif args.n > 5:
-        raise InvalidInput("exhaustive sweep supports n <= 5; pass --gens for larger n")
+    elif args.n > SWEEP_MAX_N:
+        raise InvalidInput(
+            f"exhaustive sweep supports n <= {SWEEP_MAX_N}; pass --gens for larger n"
+        )
     records = sweep_records(
         args.n,
         jobs=args.jobs,

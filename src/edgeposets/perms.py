@@ -23,6 +23,7 @@ from .errors import (
 from .poset import GradedPoset
 
 DEFAULT_GROUP_CAP = 2_000_000
+SWEEP_MAX_N = 5     # subgroup_sweep and the exhaustive CLI sweep stop here
 
 
 @total_ordering
@@ -401,17 +402,15 @@ def tree_from_children(spec):
     """Build a RootedTree from nested {"children": [...]} dicts; leaves are
     childless nodes.  Leaves get the low indices (left to right), internal
     nodes follow ordered by rank then traversal."""
-    nodes = []  # (depth, children spec) in DFS preorder
-
-    def walk(node, depth):
-        idx = len(nodes)
+    nodes = []  # [depth, child indices] in DFS preorder
+    stack = [(spec, 0, None)]  # explicit stack: nesting depth is unbounded
+    while stack:
+        node, depth, parent = stack.pop()
+        if parent is not None:
+            nodes[parent][1].append(len(nodes))
         kids = node.get("children", []) if isinstance(node, dict) else []
+        stack.extend((kid, depth + 1, len(nodes)) for kid in reversed(kids))
         nodes.append([depth, []])
-        for kid in kids:
-            nodes[idx][1].append(walk(kid, depth + 1))
-        return idx
-
-    walk(spec, 0)
     height = max(d for d, _ in nodes)
     ranks = [height - d for d, _ in nodes]
     is_leaf = [not kids for _, kids in nodes]
@@ -519,50 +518,60 @@ def tree_automorphisms(T, cap=DEFAULT_GROUP_CAP):
 
 
 def subgroup_sweep(n):
-    """One PermGroup per subgroup conjugacy class of S_n, for n <= 5.
+    """One PermGroup per subgroup conjugacy class of S_n, for n <= SWEEP_MAX_N.
 
-    Exhaustive: grow subgroups by closing each known subgroup with each outside
-    element, dedupe by element set, then keep the lexicographically least
-    subgroup of each conjugacy class.  Quotients by conjugate subgroups are
-    isomorphic, so one representative per class suffices.
+    Each class is represented by its least conjugate, comparing sorted element
+    tuples.  Quotients by conjugate subgroups are isomorphic, so one
+    representative per class suffices.
+
+    The classes are found by cyclic extension of class representatives.  Pick
+    one generator per cyclic subgroup of S_n.  Starting from the trivial
+    group, close K = <gens(H), c> for each representative H and each cyclic
+    generator c not in H, from H's stored generators.  Element sets already
+    seen are skipped; a new K is replaced by its least conjugate, which is
+    stored with its conjugated generators as a new representative.
+
+    This finds every class, by induction on the order.  A subgroup K != 1 has
+    a maximal subgroup K' and some g in K outside K', and then K = <K', g>.
+    K' is conjugate to a representative R = x K' x^-1, which is extended.  Let
+    c be the chosen generator of <x g x^-1>; c is not in R, so <gens(R), c> =
+    x K x^-1 is closed.  Either it is new and canonicalised, or it was seen
+    before, when its class was already represented; so K's class is found.
     """
-    if not 1 <= n <= 5:
-        raise InvalidParams("subgroup_sweep supports 1 <= n <= 5")
+    if not 1 <= n <= SWEEP_MAX_N:
+        raise InvalidParams(f"subgroup_sweep supports 1 <= n <= {SWEEP_MAX_N}")
     from itertools import permutations as iperms
 
     full = sorted(iperms(range(n)))
-    ident = tuple(range(n))
-    subs = {frozenset([ident])}
-    frontier = [frozenset([ident])]
-    while frontier:
-        new = []
-        for H in frontier:
-            base = list(H)
-            for g in full:
-                if g in H:
-                    continue
-                K = frozenset(_tuple_close(base + [g], n))
-                if K not in subs:
-                    subs.add(K)
-                    new.append(K)
-        frontier = new
-    inv = {g: tuple(sorted(range(n), key=lambda i: g[i])) for g in full}
-    reps = []
-    seen = set()
-    for H in sorted(subs, key=lambda s: (len(s), sorted(s))):
-        if H in seen:
-            continue
-        cls = set()
-        for g in full:
-            gi = inv[g]
-            cls.add(frozenset(tuple(g[h[gi[i]]] for i in range(n)) for h in H))
-        seen |= cls
-        reps.append(H)
+    inv = {g: tuple(sorted(range(n), key=g.__getitem__)) for g in full}
+
+    def conjugate(x, h):  # x h x^-1
+        return tuple(x[h[j]] for j in inv[x])
+
+    cyclic_gens = {frozenset(_tuple_close([g], n)): g for g in full}.values()
+    trivial_set = frozenset([full[0]])
+    reps = {trivial_set: ()}  # least conjugate -> its generators
+    seen = {trivial_set}
+    todo = [(trivial_set, ())]
+    while todo:
+        H, gens = todo.pop()
+        for c in cyclic_gens:
+            if c in H:
+                continue
+            K = frozenset(_tuple_close(gens + (c,), n))
+            if K in seen:
+                continue
+            seen.add(K)
+            x = min(full, key=lambda y: sorted(conjugate(y, k) for k in K))
+            least = frozenset(conjugate(x, k) for k in K)
+            if least not in reps:
+                seen.add(least)
+                reps[least] = tuple(conjugate(x, h) for h in gens + (c,))
+                todo.append((least, reps[least]))
     out = []
-    for H in reps:
-        G = PermGroup(n, [Permutation(h) for h in sorted(H)])
-        gens = minimal_generators(G)
-        out.append(PermGroup(n, gens))
+    for gens in reps.values():
+        G = PermGroup(n, [Permutation(h) for h in gens])
+        out.append(PermGroup(n, minimal_generators(G)))
     out.sort(key=lambda G: (G.order, G.elements))
     return out
 

@@ -24,6 +24,7 @@ from .errors import (
 
 BOOLEAN_CAP = 16    # boolean_algebra ceiling: 2^16 elements
 REACH_CAP = 4096    # precompute reachability bitsets up to this many elements
+RANK_CAP = 1_000_000  # poset_from_json rejects larger ranks (rank_vector has max rank + 1 entries)
 
 
 class GradedPoset:
@@ -421,6 +422,8 @@ def poset_from_json(obj):
     # type(...) is int also rejects bools and floats, which int() would accept
     if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
         raise InvalidParams("poset JSON 'ranks' must be a list of integers")
+    if ranks and max(ranks) > RANK_CAP:
+        raise InvalidParams(f"poset JSON rank {max(ranks)} exceeds the cap {RANK_CAP}")
     if not isinstance(covers, list) or not all(
         isinstance(c, list) and len(c) == 2 and all(type(v) is int for v in c)
         for c in covers

@@ -91,6 +91,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path), "--checks=ranks")
         assert code == 2 and err.startswith("error: poset JSON")
 
+    def test_huge_rank_exits_2(self, tmp_path, capsys):
+        # a 31-digit rank used to overflow while rank_vector was allocated
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"ranks": [0, 10**30], "covers": []}))
+        code, out, err = run(capsys, "check", str(path), "--checks=ranks")
+        assert code == 2 and out == ""
+        assert err.startswith("error: poset JSON rank") and "Traceback" not in err
+
     def test_self_dual_b10(self, capsys):
         # 1024 elements: deeper than the default recursion limit
         code, out, _ = run(capsys, "check", "bn:10", "--checks=self-dual")
@@ -127,6 +135,16 @@ class TestCheck:
         code, out, _ = run(capsys, "check", f"tree:{path}", "--checks=ranks")
         assert code == 0
         assert json.loads(out)["rank_vector"] == [3, 1]
+
+    @pytest.mark.parametrize("source", ["tree", "json"])
+    def test_deep_tree_exits_2(self, source, tmp_path, capsys):
+        # 3000 levels: past the JSON decoder's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text('{"children": [' * 3000 + "{}" + "]}" * 3000)
+        arg = f"tree:{path}" if source == "tree" else str(path)
+        code, out, err = run(capsys, "check", arg, "--checks=ranks")
+        assert code == 2 and out == ""
+        assert err == f"error: JSON in {str(path)!r} is nested too deeply\n"
 
 
 class TestQuotient:
@@ -240,10 +258,11 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 2 and rows[0]["order"] == "1"
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_recorded_jsonl(self, n, tmp_path):
         # tests/data/sweep_n{n}.jsonl: `sweep --n n` output recorded before the
-        # per-action caches landed, with each record's `seconds` removed
+        # per-action caches (n <= 4) or the cyclic-extension subgroup sweep
+        # (n = 5) landed, with each record's `seconds` removed
         target = tmp_path / "records.jsonl"
         assert cli.main(["sweep", "--n", str(n), "--out", str(target)]) == 0
         lines = []

@@ -10,7 +10,13 @@ from edgeposets.errors import (
     NotCommuting,
     NotInvolutions,
 )
-from edgeposets.perms import Permutation, minimal_generators, parse_generator_lines
+from edgeposets.perms import (
+    PermGroup,
+    Permutation,
+    _tuple_close,
+    minimal_generators,
+    parse_generator_lines,
+)
 
 from conftest import random_graded_poset
 
@@ -277,6 +283,14 @@ class TestRootedTrees:
             assert G.order == _count_poset_automorphisms(T.poset)
             tested += 1
 
+    def test_deep_tree_without_recursion(self):
+        spec = {}
+        for _ in range(3000):
+            spec = {"children": [spec]}
+        T = ep.tree_from_children(spec)
+        assert T.poset.n == 3001 and T.poset.max_rank == 3000
+        assert T.leaves == (0,) and T.root == 3000
+
     def test_rooted_tree_validation(self):
         with pytest.raises(InvalidParams):
             ep.rooted_tree(ep.antichain(2))  # two maximal elements
@@ -310,25 +324,80 @@ class TestStabilizers:
                     assert a * b in stabset
 
 
+def exhaustive_subgroup_classes(n):
+    """The exhaustive subgroup_sweep that cyclic extension replaced, kept as an
+    oracle: close every known subgroup with every outside element, dedupe by
+    element set, then keep the least subgroup of each conjugacy class."""
+    from itertools import permutations as iperms
+
+    full = sorted(iperms(range(n)))
+    ident = tuple(range(n))
+    subs = {frozenset([ident])}
+    frontier = [frozenset([ident])]
+    while frontier:
+        new = []
+        for H in frontier:
+            base = list(H)
+            for g in full:
+                if g in H:
+                    continue
+                K = frozenset(_tuple_close(base + [g], n))
+                if K not in subs:
+                    subs.add(K)
+                    new.append(K)
+        frontier = new
+    inv = {g: tuple(sorted(range(n), key=lambda i: g[i])) for g in full}
+    reps = []
+    seen = set()
+    for H in sorted(subs, key=lambda s: (len(s), sorted(s))):
+        if H in seen:
+            continue
+        cls = set()
+        for g in full:
+            gi = inv[g]
+            cls.add(frozenset(tuple(g[h[gi[i]]] for i in range(n)) for h in H))
+        seen |= cls
+        reps.append(H)
+    out = []
+    for H in reps:
+        G = PermGroup(n, [Permutation(h) for h in sorted(H)])
+        gens = minimal_generators(G)
+        out.append(PermGroup(n, gens))
+    out.sort(key=lambda G: (G.order, G.elements))
+    return out
+
+
 class TestSubgroupSweep:
     def test_counts(self):
+        # OEIS A000638: subgroup conjugacy classes of S_n
         assert len(ep.subgroup_sweep(1)) == 1
         assert len(ep.subgroup_sweep(2)) == 2
         assert len(ep.subgroup_sweep(3)) == 4
         assert len(ep.subgroup_sweep(4)) == 11
+        assert len(ep.subgroup_sweep(5)) == 19
 
     def test_classes_are_non_conjugate(self):
-        classes = ep.subgroup_sweep(4)
-        sets = [G.element_set for G in classes]
-        full = ep.symmetric(4)
-        for i, H in enumerate(sets):
-            for K in sets[i + 1 :]:
-                if len(H) != len(K):
-                    continue
-                conjugate = any(
-                    frozenset(g * h * g.inverse() for h in H) == K for g in full.elements
-                )
-                assert not conjugate
+        for n in (4, 5):
+            classes = ep.subgroup_sweep(n)
+            sets = [G.element_set for G in classes]
+            full = ep.symmetric(n)
+            for i, H in enumerate(sets):
+                for K in sets[i + 1 :]:
+                    if len(H) != len(K):
+                        continue
+                    conjugate = any(
+                        frozenset(g * h * g.inverse() for h in H) == K for g in full.elements
+                    )
+                    assert not conjugate
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_exhaustive_oracle(self, n):
+        got = ep.subgroup_sweep(n)
+        want = exhaustive_subgroup_classes(n)
+        assert len(got) == len(want)
+        for G, W in zip(got, want):
+            assert G.generators == W.generators
+            assert G.elements == W.elements
 
     def test_out_of_range(self):
         with pytest.raises(InvalidParams):

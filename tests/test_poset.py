@@ -5,10 +5,12 @@ from hypothesis import given
 
 import edgeposets as ep
 from edgeposets.catalog import fig1_poset, fig2_poset
+from edgeposets.poset import RANK_CAP
 from edgeposets.errors import (
     DuplicateCover,
     IndexOutOfRange,
     InvalidMorphism,
+    InvalidParams,
     NotGraded,
     TooLarge,
 )
@@ -207,6 +209,12 @@ class TestSerialization:
         P = fig2_poset()
         Q = ep.poset_from_json(json.loads(json.dumps(ep.poset_to_json(P))))
         assert Q.ranks == P.ranks and Q.covers == P.covers and Q.labels == P.labels
+
+    def test_rank_cap(self):
+        # checked before any rank-indexed structure is built
+        assert ep.poset_from_json({"ranks": [RANK_CAP], "covers": []}).max_rank == RANK_CAP
+        with pytest.raises(InvalidParams):
+            ep.poset_from_json({"ranks": [0, RANK_CAP + 1], "covers": []})
 
     def test_dot_output(self):
         out = ep.poset_to_dot(ep.boolean_algebra(2))
