@@ -12,19 +12,18 @@ from typing import NamedTuple
 
 from .edges import EdgePoset, _edge_pairs, edge_poset, h_poset
 from .errors import InternalInconsistency, InvalidParams
-from .perms import direct_product, symmetric, wreath
+from .perms import direct_product, schreier_sims_order, symmetric, wreath
 from .poset import GradedPoset, PosetMorphism, boolean_algebra, combine
 
 
 class PosetAction:
     """A PermGroup acting on a GradedPoset.
 
-    The action is stored as one element-permutation per group generator;
-    the map for an arbitrary group element is composed on demand and cached.
-    Each generator map is verified to be a rank-preserving automorphism, and
-    the extension to the whole group is verified to respect every product
-    g = s * h encountered while composing, which pins the action to the
-    group's relations.
+    The action is stored as one element-permutation per group generator.
+    Each generator map is verified to be a rank-preserving automorphism.  That
+    the maps respect the group's relations is checked on demand, either by
+    check_relations (a Schreier–Sims order, no element table) or by building
+    element_maps, the map of every group element.
     """
 
     def __init__(self, group, poset, gen_maps):
@@ -80,8 +79,29 @@ class PosetAction:
             raise InternalInconsistency("action table does not cover the group")
         return maps
 
-    def act(self, g, x):
-        return self.element_maps[g][x]
+    @cached_property
+    def diagonal_order(self):
+        """Order of the diagonal group <(g, m_g)> over the group generators g
+        with their maps m_g, acting on the group's points followed by the
+        poset's elements.
+
+        Projecting onto the first factor maps this group onto G, and the
+        kernel is the set of poset maps that the generator maps force on the
+        identity.  So its order is |G| exactly when the maps define an action
+        of G, faithful or not.
+        """
+        d = self.group.degree
+        gens = [
+            g.images + tuple(d + y for y in m)
+            for g, m in zip(self.group.generators, self.gen_maps)
+        ]
+        return schreier_sims_order(gens, d + self.poset.n)
+
+    def check_relations(self):
+        """Raise InternalInconsistency unless the generator maps define an
+        action of the group; no group element's map is built."""
+        if self.diagonal_order != self.group.order:
+            raise InternalInconsistency("generator maps violate a group relation")
 
     @cached_property
     def orbit_of(self):
@@ -114,9 +134,6 @@ class PosetAction:
         for x in range(self.poset.n):
             seen.setdefault(self.orbit_of[x], x)
         return tuple(seen[i] for i in range(len(seen)))
-
-    def stabilizer_maps(self, z):
-        return [m for m in self.element_maps.values() if m[z] == z]
 
     @cached_property
     def q(self):
@@ -249,6 +266,12 @@ def is_cct(A, method="direct"):
                  covers of x.
     q-bijective: q: E(P)/G -> E(P/G) is a bijection.
     rank-counts: E(P)/G and E(P/G) have equal rank vectors.
+
+    direct and dual first check that the generator maps respect the group's
+    relations (PosetAction.check_relations), then test only orbit
+    representatives, with Stab(z)'s orbits on the covers of z taken from
+    Schreier generators (see _cct_scan); no map of any other group element
+    is built.
     """
     if method == "direct":
         return _cct_scan(A, upward=False)
@@ -264,36 +287,84 @@ def is_cct(A, method="direct"):
 
 
 def _cct_scan(A, upward):
+    """The direct (lower covers) or dual (upper covers) CCT scan.
+
+    g in G carries the covers of z onto the covers of g.z, and conjugates
+    Stab(z) onto Stab(g.z), so the condition holds at z exactly when it holds
+    at g.z.  The least z where it fails is therefore the least element of its
+    orbit, and scanning the ascending orbit representatives A.orbit_reps finds
+    the same first failing z, and so the same witness, as scanning every z.
+    """
+    A.check_relations()
     P = A.poset
     orbit_of = A.orbit_of
     neighbors = P.up if upward else P.down
-    maps = A.element_maps
     name = "dual" if upward else "direct"
-    for z in range(P.n):
+    for z in A.orbit_reps:
         adjacent = neighbors[z]
-        if len(adjacent) < 2:
-            continue
-        stab = None
+        classes = None
         for i, x in enumerate(adjacent):
-            for y in adjacent[i + 1 :]:
+            for j, y in enumerate(adjacent[i + 1 :], i + 1):
                 if orbit_of[x] != orbit_of[y]:
                     continue
-                if stab is None:
-                    stab = [m for m in maps.values() if m[z] == z]
-                if not any(m[x] == y for m in stab):
-                    witness = (x, y, z)
-                    return CCTResult(False, witness, name)
+                if classes is None:
+                    classes = _stabilizer_classes(A, z, adjacent)
+                if classes[i] != classes[j]:
+                    return CCTResult(False, (x, y, z), name)
     return CCTResult(True, None, name)
+
+
+def _stabilizer_classes(A, z, adjacent):
+    """The orbits of Stab(z) on the covers `adjacent` of z (all lower or all
+    upper), as the least position of its orbit for each position.
+
+    A breadth-first search of z's orbit under the generator maps gives, for
+    each orbit point p, a transversal element u_p with u_p(z) = p; it is kept
+    only as its restriction to `adjacent`, which it maps onto p's covers.
+    By Schreier's lemma the elements u_{s(p)}^-1 s u_p, over orbit points p
+    and generator maps s, generate Stab(z); restricted to `adjacent` they
+    generate its action there, so their orbits on positions are exactly
+    Stab(z)'s orbits.
+    """
+    restricted = {z: adjacent}  # p -> u_p restricted to adjacent
+    frontier = [z]
+    for p in frontier:
+        for m in A.gen_maps:
+            q = m[p]
+            if q not in restricted:
+                restricted[q] = tuple(m[x] for x in restricted[p])
+                frontier.append(q)
+    position = {p: {y: i for i, y in enumerate(r)} for p, r in restricted.items()}
+    schreier = {
+        tuple(position[m[p]][m[x]] for x in r)
+        for p, r in restricted.items()
+        for m in A.gen_maps
+    }
+    label = [None] * len(adjacent)
+    for i in range(len(label)):
+        if label[i] is None:
+            label[i] = i
+            stack = [i]
+            while stack:
+                a = stack.pop()
+                for h in schreier:
+                    if label[h[a]] is None:
+                        label[h[a]] = i
+                        stack.append(h[a])
+    return label
 
 
 def check_cct_triple(A, x, y, z):
     """True iff the specific triple satisfies the common-cover condition:
     some stabilizer element of z carries x to y."""
-    if x not in A.poset.down[z] or y not in A.poset.down[z]:
+    A.check_relations()
+    down = A.poset.down
+    if x not in down[z] or y not in down[z]:
         raise InvalidParams("x and y must be lower covers of z")
     if A.orbit_of[x] != A.orbit_of[y]:
         raise InvalidParams("x and y must lie in one orbit")
-    return any(m[x] == y for m in A.stabilizer_maps(z))
+    classes = _stabilizer_classes(A, z, down[z])
+    return classes[down[z].index(x)] == classes[down[z].index(y)]
 
 
 # -- constructions of actions ---------------------------------------------------

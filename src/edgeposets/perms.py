@@ -7,6 +7,7 @@ and automorphism groups of rooted trees acting on their leaves.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import total_ordering
@@ -372,6 +373,74 @@ def stabilizer_of_set(G, points):
     return [g for g in G.elements if frozenset(g(p) for p in target) == target]
 
 
+def schreier_sims_order(gens, n):
+    """Order of the group generated by one-line tuples on n points, without
+    enumerating it: deterministic Schreier–Sims (Holt–Eick–O'Brien,
+    SCHREIERSIMS).  The base is extended by the least point that a new strong
+    generator moves; the order is the product of the basic orbit lengths.
+    """
+    ident = tuple(range(n))
+
+    def compose(a, b):  # a after b
+        return tuple(map(a.__getitem__, b))
+
+    def transversal(b, strong):  # point -> (u, u^-1) with u(b) = point
+        u = {b: (ident, ident)}
+        frontier = [b]
+        for p in frontier:
+            for s in strong:
+                q = s[p]
+                if q not in u:
+                    fwd = compose(s, u[p][0])
+                    u[q] = (fwd, tuple(sorted(ident, key=fwd.__getitem__)))
+                    frontier.append(q)
+        return u
+
+    def sift(g, start):  # strip g through levels start..; (residue, stop level)
+        for j in range(start, len(base)):
+            p = g[base[j]]
+            if p == base[j]:
+                continue  # u_p is the identity
+            u = U[j].get(p)
+            if u is None:
+                return g, j
+            g = compose(u[1], g)
+        return g, len(base)
+
+    def residue(i):  # a Schreier generator of level i that fails to sift
+        for up, _ in U[i].values():
+            for s in S[i]:
+                sp = compose(s, up)
+                h, j = sift(compose(U[i][sp[base[i]]][1], sp), i + 1)
+                if j < len(base) or h != ident:
+                    return h, j
+        return None
+
+    base = []
+    strong = [g for g in dict.fromkeys(map(tuple, gens)) if g != ident]
+    for g in strong:
+        if all(g[b] == b for b in base):
+            base.append(next(i for i in range(n) if g[i] != i))
+    S = [[g for g in strong if all(g[b] == b for b in base[:i])] for i in range(len(base))]
+    U = [transversal(b, s) for b, s in zip(base, S)]
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            base.append(next(k for k in range(n) if h[k] != k))
+            S.append([])
+            U.append(None)
+        for level in range(i + 1, j + 1):
+            S[level].append(h)
+            U[level] = transversal(base[level], S[level])
+        i = j
+    return math.prod(len(u) for u in U)
+
+
 # -- rooted trees ----------------------------------------------------------------
 
 
@@ -401,14 +470,19 @@ def rooted_tree(P):
 def tree_from_children(spec):
     """Build a RootedTree from nested {"children": [...]} dicts; leaves are
     childless nodes.  Leaves get the low indices (left to right), internal
-    nodes follow ordered by rank then traversal."""
+    nodes follow ordered by rank then traversal.  A node that is not a dict,
+    or whose "children" is not a list, raises InvalidParams."""
     nodes = []  # [depth, child indices] in DFS preorder
     stack = [(spec, 0, None)]  # explicit stack: nesting depth is unbounded
     while stack:
         node, depth, parent = stack.pop()
+        if not isinstance(node, dict):
+            raise InvalidParams(f"tree node must be an object, got {type(node).__name__}")
+        kids = node.get("children", [])
+        if not isinstance(kids, list):
+            raise InvalidParams(f"tree node 'children' must be a list, got {type(kids).__name__}")
         if parent is not None:
             nodes[parent][1].append(len(nodes))
-        kids = node.get("children", []) if isinstance(node, dict) else []
         stack.extend((kid, depth + 1, len(nodes)) for kid in reversed(kids))
         nodes.append([depth, []])
     height = max(d for d, _ in nodes)

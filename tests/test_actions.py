@@ -1,10 +1,41 @@
 import pytest
 
 import edgeposets as ep
-from edgeposets.actions import CCT_METHODS, action_on_edges
+from edgeposets.actions import CCT_METHODS, CCTResult, action_on_edges
 from edgeposets.catalog import ELEMENTARY_ABELIAN_2, small_group_tables
 from edgeposets.errors import InternalInconsistency, InvalidParams
 from edgeposets.perms import Permutation
+
+
+def element_map_cct_scan(A, upward):
+    """The CCT scan over every z with every group element's map, as it stood
+    before stabilizers came from Schreier generators: the oracle for is_cct's
+    direct and dual methods."""
+    P = A.poset
+    orbit_of = A.orbit_of
+    neighbors = P.up if upward else P.down
+    maps = A.element_maps
+    name = "dual" if upward else "direct"
+    for z in range(P.n):
+        adjacent = neighbors[z]
+        if len(adjacent) < 2:
+            continue
+        stab = None
+        for i, x in enumerate(adjacent):
+            for y in adjacent[i + 1 :]:
+                if orbit_of[x] != orbit_of[y]:
+                    continue
+                if stab is None:
+                    stab = [m for m in maps.values() if m[z] == z]
+                if not any(m[x] == y for m in stab):
+                    witness = (x, y, z)
+                    return CCTResult(False, witness, name)
+    return CCTResult(True, None, name)
+
+
+def assert_scans_match_oracle(A):
+    for method, upward in (("direct", False), ("dual", True)):
+        assert ep.is_cct(A, method) == element_map_cct_scan(A, upward)
 
 
 def orbit_counts_by_rank(A):
@@ -31,6 +62,35 @@ class TestPosetAction:
     def test_element_maps_cover_group(self):
         A = ep.induced_bn_action(ep.dihedral(4))
         assert len(A.element_maps) == 8
+
+    def test_relation_violation_caught_by_cct(self):
+        G = ep.PermGroup(2, [Permutation.from_cycles("(1 2)", 2)])
+        A = ep.PosetAction(G, ep.antichain(4), [(1, 2, 3, 0)])
+        assert A.diagonal_order == 4
+        for method in ("direct", "dual"):
+            with pytest.raises(InternalInconsistency):
+                ep.is_cct(A, method)
+        with pytest.raises(InternalInconsistency):
+            ep.check_cct_triple(A, 0, 1, 2)
+
+    def test_non_faithful_action_passes(self):
+        # the sign of S_3 acting on a 2-element antichain
+        G = ep.symmetric(3)
+        maps = [(1, 0) if g.images == (1, 0, 2) else (0, 1) for g in G.generators]
+        A = ep.PosetAction(G, ep.antichain(2), maps)
+        A.check_relations()
+        assert A.diagonal_order == 6
+        assert ep.is_cct(A, "direct").ok and ep.is_cct(A, "dual").ok
+        assert len(A.element_maps) == 6
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [("symmetric", k) for k in range(1, 9)]
+        + [("cyclic", 9), ("dihedral", 10), ("hyperoctahedral", 4)],
+    )
+    def test_diagonal_order_is_group_order(self, family, n):
+        A = ep.induced_bn_action(ep.named_group(family, n))
+        assert A.diagonal_order == A.group.order
 
 
 class TestInducedAction:
@@ -168,6 +228,48 @@ class TestCCT:
     def test_unknown_method(self):
         with pytest.raises(InvalidParams):
             ep.is_cct(ep.induced_bn_action(ep.trivial(1)), "guess")
+
+    def test_scan_builds_no_element_table(self):
+        A = ep.induced_bn_action(ep.symmetric(6))
+        assert ep.is_cct(A, "direct").ok and ep.is_cct(A, "dual").ok
+        assert "element_maps" not in A.__dict__
+
+
+class TestCCTOracle:
+    """The Schreier-generator scan against the element-map scan it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_sweep_classes(self, n):
+        for G in ep.subgroup_sweep(n):
+            A = ep.induced_bn_action(G)
+            for B in (A, action_on_edges(A, "E")[0], action_on_edges(A, "H")[0]):
+                assert_scans_match_oracle(B)
+
+    def test_product_actions(self):
+        c3 = ep.induced_bn_action(ep.cyclic(3))
+        d4 = ep.induced_bn_action(ep.dihedral(4))
+        s2 = ep.induced_bn_action(ep.symmetric(2))
+        for PA in (ep.product_action(c3, d4), ep.product_action(s2, c3)):
+            assert_scans_match_oracle(PA)
+
+    def test_wreath_actions(self):
+        for A, l in (
+            (ep.induced_bn_action(ep.cyclic(3)), 2),
+            (ep.induced_bn_action(ep.symmetric(2)), 3),
+        ):
+            assert_scans_match_oracle(ep.wreath_action(A, l))
+
+    @pytest.mark.parametrize("G", [ep.dihedral(9), ep.symmetric(3)], ids=["D9", "S3"])
+    def test_check_cct_triple_every_triple(self, G):
+        A = ep.induced_bn_action(G)
+        down = A.poset.down
+        for z in range(A.poset.n):
+            stab = [m for m in A.element_maps.values() if m[z] == z]
+            for x in down[z]:
+                for y in down[z]:
+                    if A.orbit_of[x] == A.orbit_of[y]:
+                        expected = any(m[x] == y for m in stab)
+                        assert ep.check_cct_triple(A, x, y, z) == expected
 
 
 class TestProductWreathActions:

@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgeposets as ep
 from edgeposets import actions, cli, peck
@@ -145,6 +149,83 @@ class TestCheck:
         code, out, err = run(capsys, "check", arg, "--checks=ranks")
         assert code == 2 and out == ""
         assert err == f"error: JSON in {str(path)!r} is nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"children": 5}, {"children": "ab"}, {"children": [{}, 5]}],
+        ids=["int-children", "string-children", "non-object-child"],
+    )
+    def test_malformed_tree_exits_2(self, spec, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "check", f"tree:{path}", "--checks=ranks")
+        assert code == 2 and out == ""
+        assert err.startswith("error: tree node")
+
+
+# -- exit-code fuzz: random poset and tree files through `check` ----------------
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers(-2, 6) | st.text(max_size=2)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def graded_poset_json(draw):
+    """A well-formed poset file: ranks 0..3, covers between adjacent ranks."""
+    ranks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=7))
+    pairs = [[x, y] for x in range(len(ranks)) for y in range(len(ranks)) if ranks[y] == ranks[x] + 1]
+    covers = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=10)) if pairs else []
+    return {"ranks": ranks, "covers": covers}
+
+
+POSET_FILES = st.one_of(
+    graded_poset_json(),
+    st.fixed_dictionaries(
+        {
+            "ranks": st.lists(st.integers(-1, 3), max_size=6) | JSON_VALUES,
+            "covers": st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=6) | JSON_VALUES,
+        },
+        optional={"labels": st.lists(JSON_LEAVES, max_size=7) | JSON_VALUES},
+    ),
+    JSON_VALUES,
+)
+TREE_FILES = st.one_of(
+    st.recursive(
+        st.just({}),
+        lambda inner: st.fixed_dictionaries({"children": st.lists(inner, min_size=1, max_size=3)}),
+        max_leaves=8,
+    ),
+    st.recursive(
+        st.just({}) | JSON_LEAVES,
+        lambda inner: st.fixed_dictionaries({"children": st.lists(inner, max_size=3) | JSON_LEAVES}),
+        max_leaves=8,
+    ),
+)
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spec=st.one_of(POSET_FILES.map(lambda o: ("", o)), TREE_FILES.map(lambda o: ("tree:", o))),
+        checks=st.lists(st.sampled_from(cli.CHECK_NAMES), min_size=1, max_size=3, unique=True),
+        view=st.sampled_from([[], ["--edge"], ["--hpos"]]),
+        fmt=st.sampled_from(["json", "csv", "dot"]),
+    )
+    def test_check_exit_codes(self, spec, checks, view, fmt):
+        prefix, obj = spec
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.json"
+            path.write_text(json.dumps(obj))
+            argv = ["check", prefix + str(path), "--checks=" + ",".join(checks), "--format", fmt]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv + view)
+        assert code in (0, 1, 2), err.getvalue()
+        assert "internal error" not in err.getvalue()
 
 
 class TestQuotient:

@@ -16,6 +16,7 @@ from edgeposets.perms import (
     _tuple_close,
     minimal_generators,
     parse_generator_lines,
+    schreier_sims_order,
 )
 
 from conftest import random_graded_poset
@@ -322,6 +323,16 @@ class TestStabilizers:
                 assert a.inverse() in stabset
                 for b in stab:
                     assert a * b in stabset
+
+    def test_schreier_sims_order_matches_closure(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+            assert schreier_sims_order(gens, n) == len(_tuple_close(gens, n))
+
+    def test_schreier_sims_order_named_groups(self):
+        for G in (ep.symmetric(8), ep.hyperoctahedral(4), ep.dihedral(10)):
+            assert schreier_sims_order([g.images for g in G.generators], G.degree) == G.order
 
 
 def exhaustive_subgroup_classes(n):
