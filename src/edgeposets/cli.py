@@ -57,6 +57,7 @@ from .perms import (
 )
 from .partitions import pak_sequence_check
 from .poset import (
+    BOOLEAN_CAP,
     boolean_algebra,
     is_self_dual,
     mask_to_points,
@@ -115,6 +116,9 @@ def load_group(spec=None, gens_path=None, n=None, cap=DEFAULT_GROUP_CAP):
     """Group from FAMILY:PARAMS or a generator file, padded to degree n."""
     if (spec is None) == (gens_path is None):
         raise InvalidInput("provide exactly one of --group and --gens")
+    if n is not None and n > BOOLEAN_CAP:
+        # checked before padding allocates n points
+        raise InvalidInput(f"--n {n} above the boolean algebra cap {BOOLEAN_CAP}")
     if spec is not None:
         if spec == "trivial":
             if n is None:
@@ -139,6 +143,8 @@ def load_group(spec=None, gens_path=None, n=None, cap=DEFAULT_GROUP_CAP):
             perms, degree = parse_generator_lines(fh, degree=n)
     except OSError as exc:
         raise InvalidInput(f"cannot read generator file {gens_path!r}: {exc}") from exc
+    if n is not None and n < degree:
+        raise InvalidInput(f"--n {n} below group degree {degree}")
     return PermGroup(degree, perms, cap)
 
 

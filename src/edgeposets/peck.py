@@ -1,18 +1,26 @@
 """Exact verification of rank symmetry/unimodality, strong Spernerity, Peck
 and unitary Peck properties, plus symmetric chain decompositions.
 
-All linear algebra runs over arbitrary-precision integers (fraction-free
-Bareiss elimination); the k-antichain numbers d_k come from Greene-Kleitman
-duality: one minimum-cost flow on the split-element cover network, where
-bypass arcs let chains pass elements they do not count, gives every d_k, and
-small posets are cross-checked against an exhaustive search.
+No floating point anywhere.  Matrix ranks are computed modulo a word-sized
+prime p and certified over the rationals from both sides: rank_p <= rank_Q
+always (a nonzero minor mod p is a nonzero integer minor), and each rank drop
+is confirmed by integer kernel vectors, rationally reconstructed from the
+mod-p kernel and checked with exact integer arithmetic.  When a certificate
+cannot be found, fraction-free Bareiss elimination decides.  The k-antichain
+numbers d_k come from Greene-Kleitman duality: one minimum-cost flow on the
+split-element cover network, where bypass arcs let chains pass elements they
+do not count, gives every d_k, and small posets are cross-checked against an
+exhaustive search.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
+from math import isqrt, lcm
 
 from .edges import h_bn_decomposition
 from .errors import (
@@ -24,6 +32,17 @@ from .errors import (
 from .poset import GradedPoset, boolean_algebra
 
 DEFAULT_ORACLE_THRESHOLD = 12  # cross-check d_k exhaustively up to this size
+
+# Ranks are taken modulo RANK_PRIME, one matrix row packed into one int with a
+# 64-bit slot per column.  Adding (p - f) * T, T a pivot row reduced mod p, to
+# a row grows each slot by less than p^2, so a slot stays below p + r * p^2,
+# which is under 2^64 while the r pivots so far number fewer than 2^23; the
+# back substitution sums fewer than cols such products per slot.
+RANK_PRIME = 1048573  # the largest prime below 2^20
+_SLOT_BITS = 64
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_MAX_TERMS = 1 << 23
+_RECON_BOUND = isqrt(RANK_PRIME // 2)  # 2 * N * D < p: n/d is unique if it exists
 
 
 class ExactMatrix:
@@ -48,18 +67,84 @@ class ExactMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise InvalidParams(f"dim mismatch {self.cols} vs {other.rows}")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.entries):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.entries[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
+        out = []
+        for row in self.entries:
+            # row i of the product: the rows of `other` at row i's nonzero
+            # entries, each scaled by its entry, summed column by column
+            terms = [
+                brow if a == 1 else [a * b for b in brow]
+                for a, brow in compress(zip(row, other.entries), row)
+            ]
+            out.append(list(map(sum, zip(*terms))) if terms else [0] * other.cols)
         return ExactMatrix(out, cols=other.cols)
 
     def rank(self):
+        """Exact rank over the rationals, certified from both sides.
+
+        The rank r_p modulo RANK_PRIME is a lower bound: a minor that is
+        nonzero mod p is a nonzero integer.  If r_p = min(rows, cols) it is
+        the rank.  Otherwise the cols - r_p kernel vectors of the mod-p row
+        echelon form, each with a 1 at its own free column and 0 at the
+        others (so they are independent), are rationally reconstructed,
+        scaled to integers and checked to satisfy M v = 0 exactly; the rank
+        is then at most cols - (cols - r_p) = r_p.  If a reconstruction or a
+        check fails (as one must when p divides every nonzero minor of the
+        largest size, so that r_p < rank), the rank comes from bareiss_rank.
+        """
+        if max(self.rows, self.cols) >= _MAX_TERMS:
+            return self.bareiss_rank()
+        pivots = self._echelon_mod_p()
+        if len(pivots) == min(self.rows, self.cols):
+            return len(pivots)
+        for v in self._kernel_mod_p(pivots):
+            w = _integer_vector(v)
+            if w is None or any(sum(row[j] * x for j, x in w) for row in self.entries):
+                return self.bareiss_rank()
+        return len(pivots)
+
+    def _echelon_mod_p(self):
+        """Row echelon form mod p as [(pivot column c, packed row)], each row
+        reduced mod p, scaled to 1 at c, with slot j holding column c + j."""
+        p = RANK_PRIME
+        rest = [_pack([x % p for x in row]) for row in self.entries]
+        pivots = []
+        for c in range(self.cols):
+            pivot = None
+            keep = []
+            for row in rest:
+                f = (row & _SLOT_MASK) % p
+                if f:
+                    if pivot is None:
+                        pivot = _reduce_packed(row, self.cols - c, pow(f, -1, p))
+                        pivots.append((c, pivot))
+                        continue
+                    row += (p - f) * pivot
+                keep.append(row >> _SLOT_BITS)
+            rest = keep
+            if not rest:
+                break
+        return pivots
+
+    def _kernel_mod_p(self, pivots):
+        """Kernel basis mod p, one vector per non-pivot column: 1 there, 0 at
+        the other free columns, and the pivot columns solved by back
+        substitution.  All vectors are solved at once: value[j] packs column
+        j of every vector, one slot per free column."""
+        p, cols = RANK_PRIME, self.cols
+        pivot_cols = {c for c, _ in pivots}
+        free = [c for c in range(cols) if c not in pivot_cols]
+        value = [0] * cols
+        for t, c in enumerate(free):
+            value[c] = 1 << (_SLOT_BITS * t)
+        for c, row in reversed(pivots):
+            # the pivot row has a 1 at c: v[c] = -sum over j > c of row[j] v[j]
+            tail = _unpack(row, cols - c)[1:]
+            acc = sum((p - a) * v for a, v in zip(tail, value[c + 1:]) if a and v)
+            value[c] = _reduce_packed(acc, len(free))
+        columns = [_unpack(v, len(free)) for v in value]
+        return list(zip(*columns))
+
+    def bareiss_rank(self):
         """Exact rank by fraction-free (Bareiss) elimination."""
         m = [row[:] for row in self.entries]
         rows, cols = self.rows, self.cols
@@ -86,6 +171,49 @@ class ExactMatrix:
         return r
 
 
+def _pack(values):
+    """One int holding each value (0 <= value < 2^64) in its own 64-bit slot."""
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
+
+
+def _unpack(row, slots):
+    return struct.unpack(f"<{slots}Q", row.to_bytes(slots * 8, "little"))
+
+
+def _reduce_packed(row, slots, scale=1):
+    """The packed row times `scale`, every slot reduced mod p."""
+    p = RANK_PRIME
+    return _pack([x * scale % p for x in _unpack(row, slots)])
+
+
+def _rational(a):
+    """(n, d) with n = a * d mod p, |n|, d <= _RECON_BOUND, or None
+    (Wang's rational reconstruction by the half-extended Euclid algorithm)."""
+    r0, r1 = RANK_PRIME, a
+    s0, s1 = 0, 1
+    while r1 > _RECON_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if not 0 < abs(s1) <= _RECON_BOUND:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _integer_vector(v):
+    """The reconstructed rational vector of the mod-p vector v with
+    denominators cleared, as [(index, nonzero entry)], or None."""
+    fracs = []
+    for j, a in enumerate(v):
+        if a:
+            frac = _rational(a)
+            if frac is None:
+                return None
+            fracs.append((j, frac))
+    scale = lcm(*(d for _, (_, d) in fracs))
+    return [(j, n * (scale // d)) for j, (n, d) in fracs]
+
+
 def cover_matrix(P, i):
     """0/1 matrix of the Lefschetz step from rank i to rank i+1 (rows indexed
     by rank-(i+1) elements, columns by rank-i elements)."""
@@ -100,16 +228,21 @@ def cover_matrix(P, i):
     return ExactMatrix(entries, cols=len(lows))
 
 
-def lefschetz_power_rank(P, i):
-    """Exact rank of U^{n-2i} restricted to rank i -> rank n-i, U the all-ones
-    order-raising map.  Cached on the poset."""
+def lefschetz_power_matrix(P, i):
+    """U^{n-2i} restricted to rank i -> rank n-i, U the all-ones order-raising
+    map."""
     n = P.max_rank
     if not 0 <= 2 * i < n:
         raise InvalidParams(f"need 0 <= i < {n}/2")
+    mats = [cover_matrix(P, j) for j in range(i, n - i)]
+    return reduce(lambda acc, U: U @ acc, mats[1:], mats[0])
+
+
+def lefschetz_power_rank(P, i):
+    """Exact rank of lefschetz_power_matrix(P, i).  Cached on the poset."""
     cache = vars(P).setdefault("_lefschetz_ranks", {})
     if i not in cache:
-        mats = [cover_matrix(P, j) for j in range(i, n - i)]
-        cache[i] = reduce(lambda acc, U: U @ acc, mats[1:], mats[0]).rank()
+        cache[i] = lefschetz_power_matrix(P, i).rank()
     return cache[i]
 
 

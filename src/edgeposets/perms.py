@@ -21,7 +21,7 @@ from .errors import (
     NotCommuting,
     NotInvolutions,
 )
-from .poset import GradedPoset
+from .poset import BOOLEAN_CAP, GradedPoset
 
 DEFAULT_GROUP_CAP = 2_000_000
 SWEEP_MAX_N = 5     # subgroup_sweep and the exhaustive CLI sweep stop here
@@ -655,7 +655,10 @@ def subgroup_sweep(n):
 
 def parse_generator_lines(lines, degree=None):
     """One permutation per line in 1-indexed cycle notation; '#' comments and
-    blank lines are skipped.  All permutations are padded to a common degree."""
+    blank lines are skipped.  All permutations are padded to a common degree.
+
+    The group acts on the boolean algebra of its points, so a point above
+    BOOLEAN_CAP is rejected before any permutation is built."""
     texts = []
     for line in lines:
         line = line.split("#", 1)[0].strip()
@@ -663,6 +666,11 @@ def parse_generator_lines(lines, degree=None):
             texts.append(line)
     if not texts and degree is None:
         raise InvalidGenerators("no generators and no explicit degree")
+    for text in texts:
+        for digits in re.findall(r"\d+", text):
+            # the length test keeps int() off a digit string of any size
+            if len(digits.lstrip("0")) > len(str(BOOLEAN_CAP)) or int(digits) > BOOLEAN_CAP:
+                raise InvalidGenerators(f"point above the boolean algebra cap {BOOLEAN_CAP}")
     perms = [Permutation.from_cycles(t, degree=degree) for t in texts]
-    top = max([p.degree for p in perms] + [degree or 0])
+    top = max([p.degree for p in perms] + [degree or 0, 0])
     return [Permutation(list(p.images) + list(range(p.degree, top))) for p in perms], top

@@ -69,6 +69,11 @@ def inflate(rng, Q, max_copies=2, p_cover=0.7):
     return P, ep.PosetMorphism(P, Q, image)
 
 
+def quotient_edge_poset(G):
+    """E(B_n/G) for a group G of degree n."""
+    return ep.q_map(ep.induced_bn_action(G)).quotient_edges.poset
+
+
 @st.composite
 def graded_posets(draw, max_ranks=4, max_width=4):
     sizes = draw(st.lists(st.integers(1, max_width), min_size=1, max_size=max_ranks))

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import edgeposets as ep
 from edgeposets import actions, cli, peck
 
+from conftest import quotient_edge_poset
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -70,6 +72,28 @@ class TestCheck:
         _, out, _ = run(capsys, "check", "bn:5", "--edge", "--checks=ranks,unitary-peck")
         computed = json.loads(out)["checks"]["unitary-peck"]["lefschetz_ranks"]
         assert len(ranks) == len(computed) == 2
+
+    def test_lefschetz_ranks_without_bareiss(self, tmp_path, capsys, monkeypatch):
+        # full ranks are certified mod p, and the one rank drop of
+        # E(B_9/<(2 3)(4 5)(6 7)(8 9)>) by a checked integer kernel vector
+        def no_bareiss(matrix):
+            raise AssertionError("Bareiss elimination ran")
+
+        monkeypatch.setattr(peck.ExactMatrix, "bareiss_rank", no_bareiss)
+        G = ep.PermGroup(9, [ep.Permutation.from_cycles("(2 3)(4 5)(6 7)(8 9)", 9)])
+        path = tmp_path / "eb9.json"
+        path.write_text(json.dumps(ep.poset_to_json(quotient_edge_poset(G))))
+        for source, code, ranks in (
+            (["bn:8", "--edge"], 0, [8, 56, 168, 280]),
+            ([str(path)], 1, [5, 36, 128, 251]),
+        ):
+            got, out, err = run(capsys, "check", *source, "--checks=unitary-peck")
+            assert (got, err) == (code, "")
+            entry = json.loads(out)["checks"]["unitary-peck"]
+            assert entry == {
+                "passed": code == 0,
+                "lefschetz_ranks": {str(i): r for i, r in enumerate(ranks)},
+            }
 
     def test_json_poset_file(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -207,6 +231,40 @@ TREE_FILES = st.one_of(
 )
 
 
+@st.composite
+def cycle_line(draw):
+    """A well-formed generator line: disjoint cycles on points 1..6."""
+    points = draw(st.permutations(range(1, 7)))
+    lengths = draw(st.lists(st.integers(1, 4), max_size=3))
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    cycles = [points[s : s + k] for s, k in zip(starts, lengths)]
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles if c) or "()"
+
+
+GENERATOR_LINES = st.one_of(
+    cycle_line(),
+    st.sampled_from(
+        [
+            "(1 1000000000000000000)",  # a huge point
+            "(2 " + "9" * 5000 + ")",  # more digits than int() accepts
+            "(1 2",
+            "1 2)",
+            "((1 2))",
+            "(1 2)(3",
+            "(1 1)",  # repeated inside a cycle
+            "(1 2)(2 3)",  # repeated across cycles
+            "(0 1)",
+            "(-1 2)",
+            "(17 1)",  # just above the boolean algebra cap
+            "# a comment",
+            "(1 2 3) # trailing comment",
+            "",
+        ]
+    ),
+    st.text(alphabet="()0123456789 ,#-x", max_size=10),
+)
+
+
 class TestExitCodeFuzz:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -224,6 +282,25 @@ class TestExitCodeFuzz:
             argv = ["check", prefix + str(path), "--checks=" + ",".join(checks), "--format", fmt]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv + view)
+        assert code in (0, 1, 2), err.getvalue()
+        assert "internal error" not in err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(GENERATOR_LINES, max_size=4),
+        command=st.sampled_from(["quotient", "sweep"]),
+        n=st.one_of(st.none(), st.integers(-3, 6), st.just(10**18)),
+    )
+    def test_gens_exit_codes(self, lines, command, n):
+        if command == "sweep" and n is None:
+            n = 3  # sweep requires --n
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gens.txt"
+            path.write_text("\n".join(lines) + "\n")
+            argv = [command, "--gens", str(path)] + ([] if n is None else ["--n", str(n)])
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
         assert code in (0, 1, 2), err.getvalue()
         assert "internal error" not in err.getvalue()
 
@@ -275,6 +352,26 @@ class TestQuotient:
         code, _, _ = run(capsys, "quotient", "--group", "dihedral:5", "--n", "3")
         assert code == 2
 
+    def test_gens_n_below_file_degree_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("(1 2 3)\n")
+        code, out, err = run(capsys, "quotient", "--gens", str(path), "--n", "2")
+        assert code == 2 and out == ""
+        assert err == "error: --n 2 below group degree 3\n"
+
+    @pytest.mark.parametrize("group", ["trivial", "cyclic:3"])
+    def test_n_above_boolean_cap_exits_2(self, group, capsys):
+        code, out, err = run(capsys, "quotient", "--group", group, "--n", str(10**18))
+        assert code == 2 and out == ""
+        assert err == f"error: --n {10**18} above the boolean algebra cap 16\n"
+
+    def test_huge_point_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text(f"(1 {10**18})\n")
+        code, out, err = run(capsys, "quotient", "--gens", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: point above the boolean algebra cap")
+
 
 class TestSweep:
     def test_n1(self, capsys):
@@ -321,6 +418,14 @@ class TestSweep:
             cli.main(["sweep", "--n", "2"])
         assert exc.value.code == 2
         assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["2", "-3"])
+    def test_gens_n_below_file_degree_exits_2(self, n, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("(1 2 3)\n")
+        code, out, err = run(capsys, "sweep", "--gens", str(path), "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: --n {n} below group degree 3\n"
 
     def test_large_n_without_gens_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--n", "6")

@@ -13,7 +13,7 @@ from edgeposets.errors import (
 from edgeposets import peck
 from edgeposets.peck import ExactMatrix, cover_matrix
 
-from conftest import graded_posets, random_graded_poset
+from conftest import graded_posets, quotient_edge_poset, random_graded_poset
 
 
 def comparability_flow_d(P, k):
@@ -35,10 +35,6 @@ def comparability_flow_d(P, k):
     while (cost := net.augment_unit(s, t)) is not None and -cost > k:
         overflow += -cost - k
     return n - overflow
-
-
-def quotient_edge_poset(G):
-    return ep.q_map(ep.induced_bn_action(G)).quotient_edges.poset
 
 
 def fraction_rank(entries):
@@ -85,6 +81,79 @@ class TestExactMatrix:
                 [rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)
             ]
             assert ExactMatrix(entries).rank() == fraction_rank(entries)
+            assert ExactMatrix(entries).bareiss_rank() == fraction_rank(entries)
+
+
+def lefschetz_matrices(P):
+    return [peck.lefschetz_power_matrix(P, i) for i in range((P.max_rank + 1) // 2)]
+
+
+BAREISS = ExactMatrix.bareiss_rank  # the oracle, kept before any monkeypatch
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Matrices whose rank() fell back to Bareiss elimination."""
+    calls = []
+    monkeypatch.setattr(ExactMatrix, "bareiss_rank", lambda m: calls.append(m) or BAREISS(m))
+    return calls
+
+
+def certified_drops(matrices, fallbacks):
+    """Check rank() against the Bareiss oracle with no fallback; returns how
+    many matrices were rank-deficient (settled by kernel certificates)."""
+    drops = 0
+    for M in matrices:
+        rank = M.rank()
+        assert fallbacks == []
+        assert rank == BAREISS(M)
+        drops += rank < min(M.rows, M.cols)
+    return drops
+
+
+class TestModularRank:
+    def test_boolean_edge_and_h_posets(self, fallbacks):
+        matrices = [
+            M
+            for n in range(1, 8)
+            for M in lefschetz_matrices(ep.edge_poset(ep.boolean_algebra(n)).poset)
+        ]
+        matrices += [
+            M
+            for n in range(2, 7)
+            for M in lefschetz_matrices(ep.h_poset(ep.boolean_algebra(n)).poset)
+        ]
+        certified_drops(matrices, fallbacks)
+
+    def test_sweep_quotient_edge_posets(self, fallbacks):
+        matrices = [
+            M
+            for n in range(1, 6)
+            for G in ep.subgroup_sweep(n)
+            for M in lefschetz_matrices(quotient_edge_poset(G))
+        ]
+        assert certified_drops(matrices, fallbacks) > 0
+
+    def test_random_graded_posets(self, rng, fallbacks):
+        matrices = [
+            M
+            for _ in range(250)
+            for M in lefschetz_matrices(random_graded_poset(rng, max_ranks=6, max_width=8))
+        ]
+        assert certified_drops(matrices, fallbacks) > 50
+
+    def test_entries_all_multiples_of_p_fall_back(self, fallbacks):
+        # rank 0 mod p, and the mod-p kernel vectors e_1, e_2 fail M v = 0
+        p = peck.RANK_PRIME
+        M = ExactMatrix([[p, 2 * p], [-p, 3 * p]])
+        assert M.rank() == 2
+        assert fallbacks == [M]
+
+    def test_kernel_beyond_reconstruction_falls_back(self, fallbacks):
+        # the kernel is spanned by (1000, -999): no n/d with |n|, d <= 724
+        M = ExactMatrix([[999, 1000], [1998, 2000], [-999, -1000]])
+        assert M.rank() == 1
+        assert fallbacks == [M]
 
 
 class TestRankProfile:

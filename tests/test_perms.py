@@ -423,6 +423,12 @@ class TestGeneratorFiles:
         assert degree == 6 and len(perms) == 2
         assert perms[0].degree == 6
 
+    @pytest.mark.parametrize("point", ["17", str(10**18), "9" * 5000])
+    def test_point_above_boolean_cap(self, point):
+        # rejected before from_cycles allocates range(point)
+        with pytest.raises(InvalidGenerators, match="boolean algebra cap 16"):
+            parse_generator_lines([f"(1 {point})"])
+
     def test_minimal_generators(self):
         G = ep.symmetric(4)
         gens = minimal_generators(G)
