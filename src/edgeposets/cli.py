@@ -130,9 +130,13 @@ def load_group(spec=None, gens_path=None, n=None, cap=DEFAULT_GROUP_CAP):
         if family == "elementary-abelian-2":
             raise InvalidInput("pass elementary abelian 2-groups via --gens")
         try:
-            G = named_group(family, int(params))
+            k = int(params)
         except ValueError as exc:
             raise InvalidInput(f"bad group parameter in {spec!r}") from exc
+        if k > BOOLEAN_CAP:
+            # every family acts on at least k points; checked before building
+            raise InvalidInput(f"group parameter {k} above the boolean algebra cap {BOOLEAN_CAP}")
+        G = named_group(family, k, cap)
         if n is not None and n != G.degree:
             if n < G.degree:
                 raise InvalidInput(f"--n {n} below group degree {G.degree}")

@@ -87,7 +87,8 @@ def young_representative(quot: QuotientPoset, orbit: int, l: int, m: int):
     if G.degree != l * m or not is_boolean_poset(quot.action.poset):
         raise WrongGroup(f"expected the standard wreath group on B_{l * m}")
     standard = wreath(symmetric(m), symmetric(l))
-    if G.element_set != standard.element_set:
+    # G <= standard with equal orders means G == standard
+    if G.order != standard.order or not all(g in standard for g in G.generators):
         raise WrongGroup("group is not the standard row-wise wreath product")
     if not 0 <= orbit < quot.poset.n:
         raise InvalidParams(f"orbit {orbit} out of range")

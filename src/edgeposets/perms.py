@@ -1,8 +1,9 @@
-"""Permutations of {0..n-1}, fully enumerated permutation groups, orbit and
-stabilizer queries, and constructors for the group families used throughout:
-symmetric, cyclic, dihedral (acting on n-gon vertices), elementary abelian
-2-groups, hyperoctahedral, wreath and direct products, left-regular actions,
-and automorphism groups of rooted trees acting on their leaves.
+"""Permutations of {0..n-1}, permutation groups held by stabiliser chains
+(Schreier–Sims), orbit and stabilizer queries, and constructors for the group
+families used throughout: symmetric, cyclic, dihedral (acting on n-gon
+vertices), elementary abelian 2-groups, hyperoctahedral, wreath and direct
+products, left-regular actions, and automorphism groups of rooted trees
+acting on their leaves.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, cmp_to_key, total_ordering
+from itertools import accumulate, groupby
+from operator import mul
 
 from .errors import (
     GroupTooLarge,
@@ -145,12 +148,13 @@ def _tuple_close(gens, n, cap=DEFAULT_GROUP_CAP):
 
 
 class PermGroup:
-    """Subgroup of S_n with its full element list enumerated at construction.
+    """Subgroup of S_n held by its stabiliser chain on the base 0..n-1.
 
-    Elements are closed under composition and inverse (by _tuple_close, the
-    closure subgroup_sweep uses too) and stored in sorted one-line order, so
-    iteration is deterministic.  Enumeration is capped (default 2,000,000) to
-    keep everything desk-scale.
+    The order is the product of the basic orbit lengths and membership is
+    decided by sifting, so nothing is enumerated at construction; the order
+    is capped (default 2,000,000) to keep everything desk-scale.  The sorted
+    element list is closed by _tuple_close (the closure subgroup_sweep uses
+    too) only when `elements` is first read, so iteration is deterministic.
     """
 
     def __init__(self, degree, generators, cap=DEFAULT_GROUP_CAP):
@@ -158,15 +162,28 @@ class PermGroup:
         for g in generators:
             if g.degree != degree:
                 raise InvalidParams(f"generator degree {g.degree} != {degree}")
-        closure = _tuple_close([g.images for g in generators], degree, cap)
         self.degree = degree
         self.generators = generators
-        self.elements = tuple(Permutation(t) for t in sorted(closure))
-        self.element_set = frozenset(self.elements)
-        self.order = len(self.elements)
+        self.transversals = schreier_sims([g.images for g in generators], degree, range(degree))[2]
+        # suffix_orders[i] = |G^(i)|: the basic orbit lengths multiplied from level i on
+        self.suffix_orders = [*accumulate(map(len, self.transversals[::-1]), mul, initial=1)][::-1]
+        self.order = self.suffix_orders[0]
+        if self.order > cap:
+            raise GroupTooLarge(f"group order exceeds cap {cap}")
+
+    @cached_property
+    def elements(self):
+        closure = _tuple_close([g.images for g in self.generators], self.degree, self.order)
+        return tuple(Permutation(t) for t in sorted(closure))
+
+    @cached_property
+    def element_set(self):
+        return frozenset(self.elements)
 
     def __contains__(self, g):
-        return g in self.element_set
+        if not isinstance(g, Permutation) or g.degree != self.degree:
+            return False
+        return _sift(range(self.degree), self.transversals, g.images)[1] == self.degree
 
     def __repr__(self):
         gens = ";".join(g.cycle_string() for g in self.generators) or "()"
@@ -183,16 +200,31 @@ class PermGroup:
 
 
 def minimal_generators(G):
-    """Greedy small generating set, deterministic over the sorted element list."""
+    """Greedy small generating set: repeatedly the lexicographically least
+    element of G outside the group H generated so far.
+
+    That element is found by descent through G's chain on the base 0..d-1.
+    The elements of G that agree with g on 0..i-1 form the coset g G^(i); its
+    children g u_p G^(i+1), p in the basic orbit, send i to g(p), so they are
+    visited in order of g(p).  A child lies inside H exactly when
+    G^(i+1) <= H, read from the suffix orders of the two chains on the same
+    base, and g u_p sifts through H.  The first child not inside H holds the
+    answer, so the descent never backtracks.
+    """
+    d = G.degree
     gens = []
-    closed = {G.identity}
-    for g in G.elements:
-        if g in closed:
-            continue
-        gens.append(g)
-        closed = set(PermGroup(G.degree, gens).elements)
-        if len(closed) == G.order:
-            break
+    H = PermGroup(d, gens)
+    while H.order < G.order:
+        g = tuple(range(d))
+        for i, level in enumerate(G.transversals):
+            inside = G.suffix_orders[i + 1] == H.suffix_orders[i + 1]
+            for p in sorted(level, key=g.__getitem__):
+                child = tuple(g[x] for x in level[p][0])
+                if not (inside and _sift(range(d), H.transversals, child)[1] == d):
+                    g = child
+                    break
+        gens.append(Permutation(g))
+        H = PermGroup(d, gens, G.order)
     return gens
 
 
@@ -203,7 +235,7 @@ def trivial(n):
     return PermGroup(n, [])
 
 
-def symmetric(n):
+def symmetric(n, cap=DEFAULT_GROUP_CAP):
     if n < 0:
         raise InvalidParams("symmetric needs n >= 0")
     if n <= 1:
@@ -211,18 +243,18 @@ def symmetric(n):
     gens = [Permutation([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(Permutation(list(range(1, n)) + [0]))
-    return PermGroup(n, gens)
+    return PermGroup(n, gens, cap)
 
 
-def cyclic(n):
+def cyclic(n, cap=DEFAULT_GROUP_CAP):
     if n < 1:
         raise InvalidParams("cyclic needs n >= 1")
     if n == 1:
         return trivial(1)
-    return PermGroup(n, [Permutation(list(range(1, n)) + [0])])
+    return PermGroup(n, [Permutation(list(range(1, n)) + [0])], cap)
 
 
-def dihedral(n):
+def dihedral(n, cap=DEFAULT_GROUP_CAP):
     """Rotations and reflections of the n-gon on its vertex set {0..n-1}.
 
     For n >= 3 this has order 2n; for n <= 2 the vertex action collapses
@@ -232,10 +264,10 @@ def dihedral(n):
         raise InvalidParams("dihedral needs n >= 1")
     rot = Permutation([(i + 1) % n for i in range(n)])
     ref = Permutation([(-i) % n for i in range(n)])
-    return PermGroup(n, [rot, ref])
+    return PermGroup(n, [rot, ref], cap)
 
 
-def elementary_abelian_2(involutions, degree=None):
+def elementary_abelian_2(involutions, degree=None, cap=DEFAULT_GROUP_CAP):
     """Group generated by pairwise commuting involutions; validated as such."""
     gens = [g if isinstance(g, Permutation) else Permutation(g) for g in involutions]
     if degree is None:
@@ -249,30 +281,30 @@ def elementary_abelian_2(involutions, degree=None):
         for h in gens[i + 1 :]:
             if g * h != h * g:
                 raise NotCommuting(f"{g.cycle_string()} and {h.cycle_string()} do not commute")
-    return PermGroup(degree, gens)
+    return PermGroup(degree, gens, cap)
 
 
-def hyperoctahedral(n):
+def hyperoctahedral(n, cap=DEFAULT_GROUP_CAP):
     """Signed permutations of n coordinates, degree 2n, pairing points (2i, 2i+1)."""
     if n < 1:
         raise InvalidParams("hyperoctahedral needs n >= 1")
-    return wreath(symmetric(2), symmetric(n))
+    return wreath(symmetric(2), symmetric(n, cap), cap)
 
 
-def named_group(family, params):
-    """Dispatcher for the named families (CLI-facing)."""
+def named_group(family, params, cap=DEFAULT_GROUP_CAP):
+    """Dispatcher for the named families (CLI-facing), with the order capped."""
     if family == "symmetric":
-        return symmetric(int(params))
+        return symmetric(int(params), cap)
     if family == "cyclic":
-        return cyclic(int(params))
+        return cyclic(int(params), cap)
     if family == "dihedral":
-        return dihedral(int(params))
+        return dihedral(int(params), cap)
     if family == "hyperoctahedral":
-        return hyperoctahedral(int(params))
+        return hyperoctahedral(int(params), cap)
     if family == "trivial":
         return trivial(int(params))
     if family == "elementary-abelian-2":
-        return elementary_abelian_2(params)
+        return elementary_abelian_2(params, cap=cap)
     raise InvalidParams(f"unknown group family {family!r}")
 
 
@@ -373,18 +405,34 @@ def stabilizer_of_set(G, points):
     return [g for g in G.elements if frozenset(g(p) for p in target) == target]
 
 
-def schreier_sims_order(gens, n):
-    """Order of the group generated by one-line tuples on n points, without
-    enumerating it: deterministic Schreier–Sims (Holt–Eick–O'Brien,
-    SCHREIERSIMS).  The base is extended by the least point that a new strong
-    generator moves; the order is the product of the basic orbit lengths.
+def _sift(base, transversals, g, start=0):
+    """Strip g through levels start..; (residue, the level where it stopped)."""
+    for j in range(start, len(transversals)):
+        p = g[base[j]]
+        if p == base[j]:
+            continue  # u_p is the identity
+        u = transversals[j].get(p)
+        if u is None:
+            return g, j
+        g = tuple(map(u[1].__getitem__, g))
+    return g, len(transversals)
+
+
+def schreier_sims(gens, n, base=()):
+    """Stabiliser chain of the group generated by one-line tuples on n points:
+    deterministic Schreier–Sims (Holt–Eick–O'Brien, SCHREIERSIMS).
+
+    The base starts with `base`, whose levels may have trivial basic orbits,
+    and is extended by the least point that a new strong generator moves.
+    Returns the base and, per level i, the strong generators fixing base[:i]
+    and the transversal: basic orbit point p -> (u_p, u_p^-1), u_p(base[i]) = p.
     """
     ident = tuple(range(n))
 
     def compose(a, b):  # a after b
         return tuple(map(a.__getitem__, b))
 
-    def transversal(b, strong):  # point -> (u, u^-1) with u(b) = point
+    def transversal(b, strong):
         u = {b: (ident, ident)}
         frontier = [b]
         for p in frontier:
@@ -396,36 +444,30 @@ def schreier_sims_order(gens, n):
                     frontier.append(q)
         return u
 
-    def sift(g, start):  # strip g through levels start..; (residue, stop level)
-        for j in range(start, len(base)):
-            p = g[base[j]]
-            if p == base[j]:
-                continue  # u_p is the identity
-            u = U[j].get(p)
-            if u is None:
-                return g, j
-            g = compose(u[1], g)
-        return g, len(base)
-
     def residue(i):  # a Schreier generator of level i that fails to sift
         for up, _ in U[i].values():
             for s in S[i]:
                 sp = compose(s, up)
-                h, j = sift(compose(U[i][sp[base[i]]][1], sp), i + 1)
+                h, j = _sift(base, U, compose(U[i][sp[base[i]]][1], sp), i + 1)
                 if j < len(base) or h != ident:
                     return h, j
         return None
 
-    base = []
+    base = list(base)
     strong = [g for g in dict.fromkeys(map(tuple, gens)) if g != ident]
     for g in strong:
         if all(g[b] == b for b in base):
             base.append(next(i for i in range(n) if g[i] != i))
-    S = [[g for g in strong if all(g[b] == b for b in base[:i])] for i in range(len(base))]
+    S = []
+    for b in base:
+        S.append(strong)
+        strong = [g for g in strong if g[b] == b]
     U = [transversal(b, s) for b, s in zip(base, S)]
     i = len(base) - 1
     while i >= 0:
-        found = residue(i)
+        # on a trivial basic orbit the Schreier generators are S[i] itself,
+        # which lies in S[i + 1], so they sift through the complete levels below
+        found = residue(i) if len(U[i]) > 1 else None
         if found is None:
             i -= 1
             continue
@@ -438,7 +480,13 @@ def schreier_sims_order(gens, n):
             S[level].append(h)
             U[level] = transversal(base[level], S[level])
         i = j
-    return math.prod(len(u) for u in U)
+    return base, S, U
+
+
+def schreier_sims_order(gens, n):
+    """Order of the group generated by one-line tuples on n points, without
+    enumerating it: the product of the basic orbit lengths of its chain."""
+    return math.prod(map(len, schreier_sims(gens, n)[2]))
 
 
 # -- rooted trees ----------------------------------------------------------------
@@ -502,88 +550,73 @@ def tree_from_children(spec):
     return rooted_tree(GradedPoset(final_ranks, covers))
 
 
-def _tree_encoding(T):
-    enc = {}
+def _tree_encoding(T, top_down):
+    """Every subtree's isomorphism class, as a key that is equal for
+    isomorphic subtrees and orders them as nested tuples of their sorted
+    child classes compare (shorter prefix first).  Classes are interned
+    bottom-up, so comparing two walks down their first differing children,
+    without recursion."""
+    forms = {}  # class -> its children's classes, sorted
+    interned = {}  # form -> class
 
-    def walk(v):
-        enc[v] = tuple(sorted(walk(c) for c in T.children[v]))
-        return enc[v]
+    def compare(a, b):
+        while a != b:
+            fa, fb = forms[a], forms[b]
+            i = next((i for i, (x, y) in enumerate(zip(fa, fb)) if x != y), None)
+            if i is None:
+                return len(fa) - len(fb)
+            a, b = fa[i], fb[i]
+        return 0
 
-    walk(T.root)
-    return enc
+    key = cmp_to_key(compare)
+    cls = {}
+    for v in reversed(top_down):
+        form = tuple(sorted((cls[c] for c in T.children[v]), key=key))
+        cls[v] = interned.setdefault(form, len(interned))
+        forms[cls[v]] = form
+    return {v: key(c) for v, c in cls.items()}
 
 
 def tree_automorphisms(T, cap=DEFAULT_GROUP_CAP):
     """Automorphism group of a rooted tree, acting on its leaves.
 
-    Built recursively: per isomorphism class of child subtrees, the subtree
-    automorphism generators on every member plus adjacent transpositions of
-    isomorphic siblings (matched leaf-by-leaf in canonical order).  The group
-    order is checked against the product of wreath orders class by class.
+    Per isomorphism class of child subtrees: the subtree automorphism
+    generators on every member, then adjacent transpositions of isomorphic
+    siblings (matched leaf-by-leaf in canonical order).  The group order is
+    checked against the product of wreath orders class by class.  Every walk
+    is a level order or an explicit stack, so the depth is unbounded.
     """
-    enc = _tree_encoding(T)
+    top_down = [T.root]
+    for v in top_down:
+        top_down.extend(T.children[v])
+    enc = _tree_encoding(T, top_down)
+    kids = {v: sorted(T.children[v], key=lambda c: (enc[c], c)) for v in top_down}
 
-    def sorted_children(v):
-        return sorted(T.children[v], key=lambda c: (enc[c], c))
+    def classes(v):  # runs of isomorphic children
+        return [list(run) for _, run in groupby(kids[v], key=enc.__getitem__)]
 
-    leaf_order = {}
-
-    def canon_leaves(v):
-        if v in leaf_order:
-            return leaf_order[v]
-        if not T.children[v]:
-            out = (v,)
-        else:
-            out = tuple(x for c in sorted_children(v) for x in canon_leaves(c))
-        leaf_order[v] = out
-        return out
-
-    def gen_maps(v):
-        """Partial leaf->leaf dicts generating Aut of the subtree at v."""
-        out = []
-        kids = sorted_children(v)
-        i = 0
-        while i < len(kids):
-            j = i
-            while j < len(kids) and enc[kids[j]] == enc[kids[i]]:
-                j += 1
-            members = kids[i:j]
-            for m in members:
-                out.extend(gen_maps(m))
-            for a, b in zip(members, members[1:]):
-                la, lb = canon_leaves(a), canon_leaves(b)
-                swap = dict(zip(la, lb))
-                swap.update(zip(lb, la))
-                out.append(swap)
-            i = j
-        return out
-
-    def order_formula(v):
-        total = 1
-        kids = sorted_children(v)
-        i = 0
-        while i < len(kids):
-            j = i
-            while j < len(kids) and enc[kids[j]] == enc[kids[i]]:
-                j += 1
-            mult = j - i
-            sub = order_formula(kids[i])
-            fact = 1
-            for t in range(2, mult + 1):
-                fact *= t
-            total *= sub**mult * fact
-            i = j
-        return total
+    canon_leaves, aut = {}, {}  # aut[v]: order of the subtree's automorphism group
+    for v in reversed(top_down):
+        canon_leaves[v] = tuple(x for c in kids[v] for x in canon_leaves[c]) or (v,)
+        aut[v] = math.prod(aut[m[0]] ** len(m) * math.factorial(len(m)) for m in classes(v))
 
     pos = {leaf: k for k, leaf in enumerate(T.leaves)}
     gens = []
-    for mapping in gen_maps(T.root):
-        images = list(range(len(T.leaves)))
-        for a, b in mapping.items():
-            images[pos[a]] = pos[b]
-        gens.append(Permutation(images))
+    tasks = [T.root]  # a node (its subtree's generators) or a sibling pair (a swap)
+    while tasks:
+        task = tasks.pop()
+        if isinstance(task, tuple):
+            images = list(range(len(T.leaves)))
+            for x, y in zip(*(canon_leaves[v] for v in task)):
+                images[pos[x]], images[pos[y]] = pos[y], pos[x]
+            gens.append(Permutation(images))
+            continue
+        todo = []
+        for members in classes(task):
+            todo += members + list(zip(members, members[1:]))
+        tasks.extend(reversed(todo))
     G = PermGroup(len(T.leaves), gens, cap)
-    if G.order != order_formula(T.root):
+    if G.order != aut[T.root]:
         raise InternalInconsistency("tree automorphism order mismatch")
     return G
 

@@ -365,6 +365,28 @@ class TestQuotient:
         assert code == 2 and out == ""
         assert err == f"error: --n {10**18} above the boolean algebra cap 16\n"
 
+    def test_group_cap_reaches_named_groups(self, capsys):
+        code, out, _ = run(
+            capsys, "quotient", "--group", "symmetric:10", "--n", "10", "--group-cap", "4000000"
+        )
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["order"] == 3628800
+        assert rec["group"] == ";".join(f"({k} {k + 1})" for k in range(9, 0, -1))
+        assert rec["rank_vector_quotient"] == [1] * 11
+
+    @pytest.mark.parametrize("family", ["cyclic", "symmetric", "dihedral"])
+    def test_named_group_above_boolean_cap_exits_2(self, family, capsys):
+        # rejected before a group on 3000 points is built
+        code, out, err = run(capsys, "quotient", "--group", f"{family}:3000")
+        assert code == 2 and out == ""
+        assert err == "error: group parameter 3000 above the boolean algebra cap 16\n"
+
+    def test_named_group_over_default_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "quotient", "--group", "symmetric:10", "--n", "10")
+        assert code == 2 and out == ""
+        assert err == "error: group order exceeds cap 2000000\n"
+
     def test_huge_point_exits_2(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_text(f"(1 {10**18})\n")

@@ -236,6 +236,78 @@ def _count_poset_automorphisms(P):
     return count
 
 
+def recursive_tree_automorphisms(T):
+    """The recursive tree_automorphisms that explicit stacks replaced, kept as
+    an oracle: its generators and its order formula, with no group built."""
+    enc = {}
+
+    def walk(v):
+        enc[v] = tuple(sorted(walk(c) for c in T.children[v]))
+        return enc[v]
+
+    walk(T.root)
+
+    def sorted_children(v):
+        return sorted(T.children[v], key=lambda c: (enc[c], c))
+
+    leaf_order = {}
+
+    def canon_leaves(v):
+        if v in leaf_order:
+            return leaf_order[v]
+        if not T.children[v]:
+            out = (v,)
+        else:
+            out = tuple(x for c in sorted_children(v) for x in canon_leaves(c))
+        leaf_order[v] = out
+        return out
+
+    def gen_maps(v):
+        out = []
+        kids = sorted_children(v)
+        i = 0
+        while i < len(kids):
+            j = i
+            while j < len(kids) and enc[kids[j]] == enc[kids[i]]:
+                j += 1
+            members = kids[i:j]
+            for m in members:
+                out.extend(gen_maps(m))
+            for a, b in zip(members, members[1:]):
+                la, lb = canon_leaves(a), canon_leaves(b)
+                swap = dict(zip(la, lb))
+                swap.update(zip(lb, la))
+                out.append(swap)
+            i = j
+        return out
+
+    def order_formula(v):
+        total = 1
+        kids = sorted_children(v)
+        i = 0
+        while i < len(kids):
+            j = i
+            while j < len(kids) and enc[kids[j]] == enc[kids[i]]:
+                j += 1
+            mult = j - i
+            sub = order_formula(kids[i])
+            fact = 1
+            for t in range(2, mult + 1):
+                fact *= t
+            total *= sub**mult * fact
+            i = j
+        return total
+
+    pos = {leaf: k for k, leaf in enumerate(T.leaves)}
+    gens = []
+    for mapping in gen_maps(T.root):
+        images = list(range(len(T.leaves)))
+        for a, b in mapping.items():
+            images[pos[a]] = pos[b]
+        gens.append(Permutation(images))
+    return tuple(gens), order_formula(T.root)
+
+
 class TestRootedTrees:
     def test_star_gives_symmetric(self):
         star = ep.tree_from_children({"children": [{}, {}, {}, {}]})
@@ -291,6 +363,38 @@ class TestRootedTrees:
         T = ep.tree_from_children(spec)
         assert T.poset.n == 3001 and T.poset.max_rank == 3000
         assert T.leaves == (0,) and T.root == 3000
+        G = ep.tree_automorphisms(T)
+        assert G.degree == 1 and G.order == 1 and G.generators == ()
+
+    def test_deep_isomorphic_siblings(self):
+        # two 1500-level chains, a 1499-level chain and a cherry under one root
+        def chain(levels):
+            spec = {}
+            for _ in range(levels):
+                spec = {"children": [spec]}
+            return spec
+
+        spec = {"children": [chain(1500), chain(1500), chain(1499), {"children": [{}, {}]}]}
+        G = ep.tree_automorphisms(ep.tree_from_children(spec))
+        assert G.order == 4
+        assert [g.cycle_string() for g in G.generators] == ["(4 5)", "(1 2)"]
+
+    def test_generators_match_recursive_oracle(self):
+        import random
+
+        local = random.Random(11)
+
+        def random_tree_spec(depth):
+            if depth == 0 or local.random() < 0.3:
+                return {}
+            return {"children": [random_tree_spec(depth - 1) for _ in range(local.randint(1, 3))]}
+
+        for _ in range(200):
+            T = ep.tree_from_children(random_tree_spec(4))
+            G = ep.tree_automorphisms(T, cap=10**40)
+            gens, order = recursive_tree_automorphisms(T)
+            assert G.generators == gens
+            assert G.order == order
 
     def test_rooted_tree_validation(self):
         with pytest.raises(InvalidParams):
@@ -329,6 +433,21 @@ class TestStabilizers:
             n = rng.randint(1, 7)
             gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
             assert schreier_sims_order(gens, n) == len(_tuple_close(gens, n))
+
+    def test_membership_matches_closure(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+            G = PermGroup(n, gens)
+            members = _tuple_close(gens, n)
+            assert G.order == len(members)
+            for g in members:
+                assert Permutation(g) in G
+            for _ in range(20):
+                g = tuple(rng.sample(range(n), n))
+                assert (Permutation(g) in G) == (g in members)
+        assert Permutation.from_cycles("(1 2)", 3) not in ep.symmetric(2)
+        assert (0, 1) not in ep.symmetric(2)
 
     def test_schreier_sims_order_named_groups(self):
         for G in (ep.symmetric(8), ep.hyperoctahedral(4), ep.dihedral(10)):
@@ -434,3 +553,48 @@ class TestGeneratorFiles:
         gens = minimal_generators(G)
         assert ep.PermGroup(4, gens).order == 24
         assert len(gens) <= 3
+
+
+def closure_minimal_generators(G):
+    """The prefix-closure greedy that the descent through G's chain replaced,
+    kept as an oracle: the first sorted element outside the closure so far."""
+    gens = []
+    closed = {G.identity}
+    for g in G.elements:
+        if g in closed:
+            continue
+        gens.append(g)
+        closed = set(PermGroup(G.degree, gens).elements)
+        if len(closed) == G.order:
+            break
+    return gens
+
+
+class TestMinimalGenerators:
+    def groups(self, rng):
+        yield from (ep.symmetric(n) for n in range(1, 9))
+        yield from (ep.cyclic(n) for n in (1, 2, 6, 9))
+        yield from (ep.dihedral(n) for n in (1, 2, 4, 5, 6, 9, 10))
+        yield from (ep.hyperoctahedral(n) for n in (1, 2, 3, 4))
+        yield ep.elementary_abelian_2(
+            [Permutation.from_cycles("(1 2)", 4), Permutation.from_cycles("(3 4)", 4)]
+        )
+        yield ep.direct_product(ep.trivial(2), ep.symmetric(3))
+        yield ep.direct_product(
+            ep.wreath(ep.symmetric(2), ep.symmetric(2)),
+            ep.wreath(ep.symmetric(3), ep.symmetric(2)),
+        )
+        yield ep.wreath(ep.symmetric(3), ep.symmetric(2))
+        yield ep.tree_automorphisms(tree8())
+        yield ep.tree_automorphisms(tree10())
+        for table in small_group_tables().values():
+            yield ep.left_regular(table)
+        for n in range(1, 6):
+            yield from ep.subgroup_sweep(n)
+        for _ in range(250):
+            n = rng.randint(1, 7)
+            yield PermGroup(n, [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))])
+
+    def test_matches_closure_oracle(self, rng):
+        for G in self.groups(rng):
+            assert minimal_generators(G) == closure_minimal_generators(G), G
