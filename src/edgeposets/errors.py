@@ -22,7 +22,7 @@ class TooLarge(EdgePosetsError):
 
 
 class GroupTooLarge(EdgePosetsError):
-    """Group closure exceeded the enumeration cap."""
+    """Group order exceeds the order cap."""
 
 
 class InvalidParams(EdgePosetsError):

@@ -267,7 +267,7 @@ def dihedral(n, cap=DEFAULT_GROUP_CAP):
     return PermGroup(n, [rot, ref], cap)
 
 
-def elementary_abelian_2(involutions, degree=None, cap=DEFAULT_GROUP_CAP):
+def elementary_abelian_2(involutions, degree=None):
     """Group generated by pairwise commuting involutions; validated as such."""
     gens = [g if isinstance(g, Permutation) else Permutation(g) for g in involutions]
     if degree is None:
@@ -281,7 +281,7 @@ def elementary_abelian_2(involutions, degree=None, cap=DEFAULT_GROUP_CAP):
         for h in gens[i + 1 :]:
             if g * h != h * g:
                 raise NotCommuting(f"{g.cycle_string()} and {h.cycle_string()} do not commute")
-    return PermGroup(degree, gens, cap)
+    return PermGroup(degree, gens)
 
 
 def hyperoctahedral(n, cap=DEFAULT_GROUP_CAP):
@@ -304,7 +304,7 @@ def named_group(family, params, cap=DEFAULT_GROUP_CAP):
     if family == "trivial":
         return trivial(int(params))
     if family == "elementary-abelian-2":
-        return elementary_abelian_2(params, cap=cap)
+        return elementary_abelian_2(params)
     raise InvalidParams(f"unknown group family {family!r}")
 
 
@@ -465,9 +465,7 @@ def schreier_sims(gens, n, base=()):
     U = [transversal(b, s) for b, s in zip(base, S)]
     i = len(base) - 1
     while i >= 0:
-        # on a trivial basic orbit the Schreier generators are S[i] itself,
-        # which lies in S[i + 1], so they sift through the complete levels below
-        found = residue(i) if len(U[i]) > 1 else None
+        found = residue(i)
         if found is None:
             i -= 1
             continue
