@@ -53,7 +53,6 @@ from .perms import (
     left_regular,
     named_group,
     rooted_tree,
-    stabilizer_of_set,
     subgroup_sweep,
     symmetric,
     tree_automorphisms,

@@ -12,7 +12,15 @@ from typing import NamedTuple
 
 from .edges import EdgePoset, _edge_pairs, edge_poset, h_poset
 from .errors import InternalInconsistency, InvalidParams
-from .perms import direct_product, schreier_sims_order, symmetric, wreath
+from .perms import (
+    Permutation,
+    _tuple_close,
+    check_enumerable,
+    direct_product,
+    schreier_sims_order,
+    symmetric,
+    wreath,
+)
 from .poset import GradedPoset, PosetMorphism, boolean_algebra, combine
 
 
@@ -53,49 +61,43 @@ class PosetAction:
         return f"PosetAction(order={self.group.order}, poset={self.poset!r})"
 
     @cached_property
+    def diagonal_generators(self):
+        """The generators (g, m_g) of the diagonal group, one-line tuples on
+        the group's points followed by the poset's elements."""
+        d = self.group.degree
+        return [
+            g.images + tuple(d + y for y in m)
+            for g, m in zip(self.group.generators, self.gen_maps)
+        ]
+
+    @cached_property
     def element_maps(self):
-        """dict: group element -> element permutation (tuple), whole group."""
-        n = self.poset.n
-        ident = self.group.identity
-        maps = {ident: tuple(range(n))}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for cur in frontier:
-                cm = maps[cur]
-                for s, sm in zip(self.group.generators, self.gen_maps):
-                    nxt = s * cur
-                    nm = tuple(sm[cm[i]] for i in range(n))
-                    prev = maps.get(nxt)
-                    if prev is None:
-                        maps[nxt] = nm
-                        new.append(nxt)
-                    elif prev != nm:
-                        raise InternalInconsistency(
-                            "generator maps violate a group relation"
-                        )
-            frontier = new
-        if len(maps) != self.group.order:
-            raise InternalInconsistency("action table does not cover the group")
-        return maps
+        """dict: group element -> element permutation (tuple), whole group.
+
+        The diagonal group is closed by _tuple_close and split into its two
+        factors; it is the graph of an action exactly when its order is |G|
+        (see diagonal_order).  Maps that violate a relation are found only
+        after the whole diagonal group, |G| times the kernel, is closed.
+        Raises GroupTooLarge, before closing anything, for an order above
+        the enumeration cap."""
+        check_enumerable(self.group.order)
+        d = self.group.degree
+        closure = _tuple_close(self.diagonal_generators, d + self.poset.n)
+        if len(closure) != self.group.order:
+            raise InternalInconsistency("generator maps violate a group relation")
+        return {Permutation(t[:d]): tuple(y - d for y in t[d:]) for t in closure}
 
     @cached_property
     def diagonal_order(self):
         """Order of the diagonal group <(g, m_g)> over the group generators g
-        with their maps m_g, acting on the group's points followed by the
-        poset's elements.
+        with their maps m_g, found by Schreier–Sims without enumerating it.
 
         Projecting onto the first factor maps this group onto G, and the
         kernel is the set of poset maps that the generator maps force on the
         identity.  So its order is |G| exactly when the maps define an action
         of G, faithful or not.
         """
-        d = self.group.degree
-        gens = [
-            g.images + tuple(d + y for y in m)
-            for g, m in zip(self.group.generators, self.gen_maps)
-        ]
-        return schreier_sims_order(gens, d + self.poset.n)
+        return schreier_sims_order(self.diagonal_generators, self.group.degree + self.poset.n)
 
     def check_relations(self):
         """Raise InternalInconsistency unless the generator maps define an

@@ -46,7 +46,6 @@ from .peck import (
     scd_transport,
 )
 from .perms import (
-    DEFAULT_GROUP_CAP,
     SWEEP_MAX_N,
     PermGroup,
     Permutation,
@@ -112,7 +111,7 @@ def _load_json(path, what):
         raise InvalidInput(f"JSON in {path!r} is nested too deeply") from exc
 
 
-def load_group(spec=None, gens_path=None, n=None, cap=DEFAULT_GROUP_CAP):
+def load_group(spec=None, gens_path=None, n=None):
     """Group from FAMILY:PARAMS or a generator file, padded to degree n."""
     if (spec is None) == (gens_path is None):
         raise InvalidInput("provide exactly one of --group and --gens")
@@ -136,11 +135,11 @@ def load_group(spec=None, gens_path=None, n=None, cap=DEFAULT_GROUP_CAP):
         if k > BOOLEAN_CAP:
             # every family acts on at least k points; checked before building
             raise InvalidInput(f"group parameter {k} above the boolean algebra cap {BOOLEAN_CAP}")
-        G = named_group(family, k, cap)
+        G = named_group(family, k)
         if n is not None and n != G.degree:
             if n < G.degree:
                 raise InvalidInput(f"--n {n} below group degree {G.degree}")
-            G = _pad_group(G, n, cap)
+            G = _pad_group(G, n)
         return G
     try:
         with open(gens_path) as fh:
@@ -149,12 +148,12 @@ def load_group(spec=None, gens_path=None, n=None, cap=DEFAULT_GROUP_CAP):
         raise InvalidInput(f"cannot read generator file {gens_path!r}: {exc}") from exc
     if n is not None and n < degree:
         raise InvalidInput(f"--n {n} below group degree {degree}")
-    return PermGroup(degree, perms, cap)
+    return PermGroup(degree, perms)
 
 
-def _pad_group(G, n, cap=DEFAULT_GROUP_CAP):
+def _pad_group(G, n):
     gens = [Permutation(list(g.images) + list(range(G.degree, n))) for g in G.generators]
-    return PermGroup(n, gens, cap)
+    return PermGroup(n, gens)
 
 
 # -- check ------------------------------------------------------------------
@@ -307,28 +306,23 @@ def action_record(G, include_h=False, oracle_threshold=DEFAULT_ORACLE_THRESHOLD)
 
 
 def _sweep_worker(args):
-    degree, images, cap, oracle_threshold = args
-    G = PermGroup(degree, [Permutation(im) for im in images], cap)
+    degree, images, oracle_threshold = args
+    G = PermGroup(degree, [Permutation(im) for im in images])
     return action_record(G, oracle_threshold=oracle_threshold)
 
 
-def sweep_records(
-    n,
-    jobs=1,
-    group_cap=DEFAULT_GROUP_CAP,
-    oracle_threshold=DEFAULT_ORACLE_THRESHOLD,
-    groups=None,
-):
+def sweep_records(n, jobs=1, oracle_threshold=DEFAULT_ORACLE_THRESHOLD, groups=None):
     """One record per subgroup conjugacy class of S_n (or per supplied group),
-    in deterministic (order, generator string) order."""
+    in deterministic (order, generator string) order.  At most one worker
+    process per group is started."""
     if groups is None:
         groups = subgroup_sweep(n)
-    if jobs > 1:
+    workers = min(jobs, len(groups))
+    if workers > 1:
         tasks = [
-            (G.degree, [g.images for g in G.generators], group_cap, oracle_threshold)
-            for G in groups
+            (G.degree, [g.images for g in G.generators], oracle_threshold) for G in groups
         ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_worker, tasks))
     else:
         records = [action_record(G, oracle_threshold=oracle_threshold) for G in groups]
@@ -407,17 +401,16 @@ def build_parser():
     p.add_argument("--n", type=int, default=_env("N") or None)
     p.add_argument("--format", choices=("json", "csv"), default=_env("FORMAT") or "json")
     p.add_argument("--out", default=_env("OUT"))
-    p.add_argument("--group-cap", type=int, default=_env("GROUP_CAP") or DEFAULT_GROUP_CAP)
     p.add_argument("--oracle-threshold", type=int, default=_env("ORACLE_THRESHOLD") or DEFAULT_ORACLE_THRESHOLD)
 
     p = sub.add_parser("sweep", help="sweep subgroup conjugacy classes of S_n")
     p.add_argument("--n", type=int, required=not _env("N"), default=_env("N") or None)
     p.add_argument("--gens", nargs="*", default=None,
                    help="generator files; skips the exhaustive subgroup enumeration")
-    p.add_argument("--jobs", type=int, default=_env("JOBS") or 1)
+    p.add_argument("--jobs", type=int, default=_env("JOBS") or 1,
+                   help="worker processes (at least 1; at most one per group is started)")
     p.add_argument("--format", choices=("json", "csv"), default=_env("FORMAT") or "json")
     p.add_argument("--out", default=_env("OUT"))
-    p.add_argument("--group-cap", type=int, default=_env("GROUP_CAP") or DEFAULT_GROUP_CAP)
     p.add_argument("--oracle-threshold", type=int, default=_env("ORACLE_THRESHOLD") or DEFAULT_ORACLE_THRESHOLD)
 
     p = sub.add_parser("pak", help="box-partition count sequence with verdicts")
@@ -450,7 +443,7 @@ def cmd_check(args):
 
 
 def cmd_quotient(args):
-    G = load_group(args.group, args.gens, args.n, args.group_cap)
+    G = load_group(args.group, args.gens, args.n)
     record = action_record(G, include_h=True, oracle_threshold=args.oracle_threshold)
     if args.format == "csv":
         _emit(records_to_csv([record.to_dict()]), args.out)
@@ -460,21 +453,17 @@ def cmd_quotient(args):
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise InvalidInput(f"--jobs {args.jobs} below 1")
     groups = None
     if args.gens:
-        groups = []
-        for path in args.gens:
-            groups.append(load_group(None, path, args.n, args.group_cap))
+        groups = [load_group(None, path, args.n) for path in args.gens]
     elif args.n > SWEEP_MAX_N:
         raise InvalidInput(
             f"exhaustive sweep supports n <= {SWEEP_MAX_N}; pass --gens for larger n"
         )
     records = sweep_records(
-        args.n,
-        jobs=args.jobs,
-        group_cap=args.group_cap,
-        oracle_threshold=args.oracle_threshold,
-        groups=groups,
+        args.n, jobs=args.jobs, oracle_threshold=args.oracle_threshold, groups=groups
     )
     dicts = [r.to_dict() for r in records]
     if args.format == "csv":

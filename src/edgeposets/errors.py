@@ -22,7 +22,9 @@ class TooLarge(EdgePosetsError):
 
 
 class GroupTooLarge(EdgePosetsError):
-    """Group order exceeds the order cap."""
+    """A group to be enumerated element by element has order above
+    perms.GROUP_CAP; building a group and computing with its stabiliser
+    chain are not capped."""
 
 
 class InvalidParams(EdgePosetsError):

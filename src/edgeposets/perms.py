@@ -1,5 +1,5 @@
 """Permutations of {0..n-1}, permutation groups held by stabiliser chains
-(Schreier–Sims), orbit and stabilizer queries, and constructors for the group
+(Schreier–Sims) with membership by sifting, and constructors for the group
 families used throughout: symmetric, cyclic, dihedral (acting on n-gon
 vertices), elementary abelian 2-groups, hyperoctahedral, wreath and direct
 products, left-regular actions, and automorphism groups of rooted trees
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .poset import BOOLEAN_CAP, GradedPoset
 
-DEFAULT_GROUP_CAP = 2_000_000
+GROUP_CAP = 2_000_000  # largest order enumerated element by element
 SWEEP_MAX_N = 5     # subgroup_sweep and the exhaustive CLI sweep stop here
 
 
@@ -126,9 +126,13 @@ class Permutation:
         return cls(images)
 
 
-def _tuple_close(gens, n, cap=DEFAULT_GROUP_CAP):
+def _tuple_close(gens, n):
     """Element set of the group generated by one-line tuples on n points,
-    closed breadth-first under left multiplication by the generators."""
+    closed breadth-first under left multiplication by the generators.
+
+    The one routine that enumerates a group.  It bounds nothing itself:
+    PermGroup.elements and PosetAction.element_maps call check_enumerable
+    first, and subgroup_sweep closes subgroups of S_n for n <= SWEEP_MAX_N."""
     ident = tuple(range(n))
     els = {ident}
     frontier = [ident]
@@ -139,25 +143,30 @@ def _tuple_close(gens, n, cap=DEFAULT_GROUP_CAP):
             for g in apply:
                 nxt = tuple(map(g, cur))
                 if nxt not in els:
-                    if len(els) >= cap:
-                        raise GroupTooLarge(f"group order exceeds cap {cap}")
                     els.add(nxt)
                     new.append(nxt)
         frontier = new
     return els
 
 
+def check_enumerable(order):
+    """Raise GroupTooLarge before a group of this order is enumerated."""
+    if order > GROUP_CAP:
+        raise GroupTooLarge(f"group order {order} exceeds the enumeration cap {GROUP_CAP}")
+
+
 class PermGroup:
     """Subgroup of S_n held by its stabiliser chain on the base 0..n-1.
 
     The order is the product of the basic orbit lengths and membership is
-    decided by sifting, so nothing is enumerated at construction; the order
-    is capped (default 2,000,000) to keep everything desk-scale.  The sorted
-    element list is closed by _tuple_close (the closure subgroup_sweep uses
-    too) only when `elements` is first read, so iteration is deterministic.
+    decided by sifting, so nothing is enumerated at construction and the
+    order is not bounded.  The sorted element list is closed by _tuple_close
+    (the closure subgroup_sweep uses too) only when `elements` is first read,
+    so iteration is deterministic; that read raises GroupTooLarge for an
+    order above GROUP_CAP.
     """
 
-    def __init__(self, degree, generators, cap=DEFAULT_GROUP_CAP):
+    def __init__(self, degree, generators):
         generators = tuple(g if isinstance(g, Permutation) else Permutation(g) for g in generators)
         for g in generators:
             if g.degree != degree:
@@ -168,12 +177,11 @@ class PermGroup:
         # suffix_orders[i] = |G^(i)|: the basic orbit lengths multiplied from level i on
         self.suffix_orders = [*accumulate(map(len, self.transversals[::-1]), mul, initial=1)][::-1]
         self.order = self.suffix_orders[0]
-        if self.order > cap:
-            raise GroupTooLarge(f"group order exceeds cap {cap}")
 
     @cached_property
     def elements(self):
-        closure = _tuple_close([g.images for g in self.generators], self.degree, self.order)
+        check_enumerable(self.order)
+        closure = _tuple_close([g.images for g in self.generators], self.degree)
         return tuple(Permutation(t) for t in sorted(closure))
 
     @cached_property
@@ -224,7 +232,7 @@ def minimal_generators(G):
                     g = child
                     break
         gens.append(Permutation(g))
-        H = PermGroup(d, gens, G.order)
+        H = PermGroup(d, gens)
     return gens
 
 
@@ -235,7 +243,7 @@ def trivial(n):
     return PermGroup(n, [])
 
 
-def symmetric(n, cap=DEFAULT_GROUP_CAP):
+def symmetric(n):
     if n < 0:
         raise InvalidParams("symmetric needs n >= 0")
     if n <= 1:
@@ -243,18 +251,18 @@ def symmetric(n, cap=DEFAULT_GROUP_CAP):
     gens = [Permutation([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(Permutation(list(range(1, n)) + [0]))
-    return PermGroup(n, gens, cap)
+    return PermGroup(n, gens)
 
 
-def cyclic(n, cap=DEFAULT_GROUP_CAP):
+def cyclic(n):
     if n < 1:
         raise InvalidParams("cyclic needs n >= 1")
     if n == 1:
         return trivial(1)
-    return PermGroup(n, [Permutation(list(range(1, n)) + [0])], cap)
+    return PermGroup(n, [Permutation(list(range(1, n)) + [0])])
 
 
-def dihedral(n, cap=DEFAULT_GROUP_CAP):
+def dihedral(n):
     """Rotations and reflections of the n-gon on its vertex set {0..n-1}.
 
     For n >= 3 this has order 2n; for n <= 2 the vertex action collapses
@@ -264,7 +272,7 @@ def dihedral(n, cap=DEFAULT_GROUP_CAP):
         raise InvalidParams("dihedral needs n >= 1")
     rot = Permutation([(i + 1) % n for i in range(n)])
     ref = Permutation([(-i) % n for i in range(n)])
-    return PermGroup(n, [rot, ref], cap)
+    return PermGroup(n, [rot, ref])
 
 
 def elementary_abelian_2(involutions, degree=None):
@@ -284,23 +292,24 @@ def elementary_abelian_2(involutions, degree=None):
     return PermGroup(degree, gens)
 
 
-def hyperoctahedral(n, cap=DEFAULT_GROUP_CAP):
+def hyperoctahedral(n):
     """Signed permutations of n coordinates, degree 2n, pairing points (2i, 2i+1)."""
     if n < 1:
         raise InvalidParams("hyperoctahedral needs n >= 1")
-    return wreath(symmetric(2), symmetric(n, cap), cap)
+    return wreath(symmetric(2), symmetric(n))
 
 
-def named_group(family, params, cap=DEFAULT_GROUP_CAP):
-    """Dispatcher for the named families (CLI-facing), with the order capped."""
+def named_group(family, params):
+    """Dispatcher for the named families (CLI-facing).  The order is not
+    capped: only reading a group's `elements` enumerates it."""
     if family == "symmetric":
-        return symmetric(int(params), cap)
+        return symmetric(int(params))
     if family == "cyclic":
-        return cyclic(int(params), cap)
+        return cyclic(int(params))
     if family == "dihedral":
-        return dihedral(int(params), cap)
+        return dihedral(int(params))
     if family == "hyperoctahedral":
-        return hyperoctahedral(int(params), cap)
+        return hyperoctahedral(int(params))
     if family == "trivial":
         return trivial(int(params))
     if family == "elementary-abelian-2":
@@ -318,18 +327,18 @@ def _shift(g, offset, degree):
     return Permutation(images)
 
 
-def direct_product(G, H, cap=DEFAULT_GROUP_CAP):
+def direct_product(G, H):
     """G x H acting coordinatewise: G on the first deg(G) points, H on the rest."""
     degree = G.degree + H.degree
     gens = [_shift(g, 0, degree) for g in G.generators]
     gens += [_shift(h, G.degree, degree) for h in H.generators]
-    out = PermGroup(degree, gens, cap)
+    out = PermGroup(degree, gens)
     if out.order != G.order * H.order:
         raise InternalInconsistency("direct product order mismatch")
     return out
 
 
-def wreath(G, H, cap=DEFAULT_GROUP_CAP):
+def wreath(G, H):
     """Wreath product of G (degree m) by H (degree l) on m*l points.
 
     Point b*m + j lies in block b; generators are the l block-copies of G's
@@ -344,7 +353,7 @@ def wreath(G, H, cap=DEFAULT_GROUP_CAP):
     for h in H.generators:
         images = [h(b) * m + j for b in range(l) for j in range(m)]
         gens.append(Permutation(images))
-    out = PermGroup(degree, gens, cap)
+    out = PermGroup(degree, gens)
     if out.order != G.order**l * H.order:
         raise InternalInconsistency("wreath product order mismatch")
     return out
@@ -353,7 +362,7 @@ def wreath(G, H, cap=DEFAULT_GROUP_CAP):
 # -- left-regular actions ------------------------------------------------------
 
 
-def left_regular(table, cap=DEFAULT_GROUP_CAP):
+def left_regular(table):
     """Permutation group of left multiplications g -> (x -> g*x) of a finite
     group given by its multiplication table.
 
@@ -390,19 +399,13 @@ def left_regular(table, cap=DEFAULT_GROUP_CAP):
                     if table[ab][c] != table[a][table[b][c]]:
                         raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
     gens = [Permutation(row) for row in table]
-    out = PermGroup(n, gens, cap)
+    out = PermGroup(n, gens)
     if out.order != n:
         raise InternalInconsistency("left-regular image has wrong order")
     return out
 
 
-# -- stabilizers ----------------------------------------------------------------
-
-
-def stabilizer_of_set(G, points):
-    """All g in G with g . S = S setwise."""
-    target = frozenset(points)
-    return [g for g in G.elements if frozenset(g(p) for p in target) == target]
+# -- stabiliser chains -----------------------------------------------------------
 
 
 def _sift(base, transversals, g, start=0):
@@ -575,7 +578,7 @@ def _tree_encoding(T, top_down):
     return {v: key(c) for v, c in cls.items()}
 
 
-def tree_automorphisms(T, cap=DEFAULT_GROUP_CAP):
+def tree_automorphisms(T):
     """Automorphism group of a rooted tree, acting on its leaves.
 
     Per isomorphism class of child subtrees: the subtree automorphism
@@ -613,7 +616,7 @@ def tree_automorphisms(T, cap=DEFAULT_GROUP_CAP):
         for members in classes(task):
             todo += members + list(zip(members, members[1:]))
         tasks.extend(reversed(todo))
-    G = PermGroup(len(T.leaves), gens, cap)
+    G = PermGroup(len(T.leaves), gens)
     if G.order != aut[T.root]:
         raise InternalInconsistency("tree automorphism order mismatch")
     return G

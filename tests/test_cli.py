@@ -366,9 +366,7 @@ class TestQuotient:
         assert err == f"error: --n {10**18} above the boolean algebra cap 16\n"
 
     def test_group_cap_reaches_named_groups(self, capsys):
-        code, out, _ = run(
-            capsys, "quotient", "--group", "symmetric:10", "--n", "10", "--group-cap", "4000000"
-        )
+        code, out, _ = run(capsys, "quotient", "--group", "symmetric:10", "--n", "10")
         assert code == 0
         rec = json.loads(out)
         assert rec["order"] == 3628800
@@ -381,11 +379,6 @@ class TestQuotient:
         code, out, err = run(capsys, "quotient", "--group", f"{family}:3000")
         assert code == 2 and out == ""
         assert err == "error: group parameter 3000 above the boolean algebra cap 16\n"
-
-    def test_named_group_over_default_cap_exits_2(self, capsys):
-        code, out, err = run(capsys, "quotient", "--group", "symmetric:10", "--n", "10")
-        assert code == 2 and out == ""
-        assert err == "error: group order exceeds cap 2000000\n"
 
     def test_huge_point_exits_2(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
@@ -425,6 +418,61 @@ class TestSweep:
             return records
 
         assert strip(out1) == strip(out2)
+
+    def test_gens_over_enumeration_cap_serial_matches_parallel(self, tmp_path, capsys):
+        # S_10 has order 3,628,800; a sweep record never enumerates it
+        s10 = tmp_path / "s10.txt"
+        s10.write_text("(1 2)\n(1 2 3 4 5 6 7 8 9 10)\n")
+        b5 = tmp_path / "b5.txt"
+        b5.write_text("(1 2)\n(1 3)(2 4)\n(1 3 5 7 9)(2 4 6 8 10)\n")
+        outputs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "sweep", "--gens", str(s10), str(b5), "--n", "10",
+                               "--jobs", jobs)
+            assert code == 0
+            records = [json.loads(line) for line in out.splitlines()]
+            for r in records:
+                r.pop("seconds")
+            outputs.append(records)
+        assert outputs[0] == outputs[1]
+        assert [r["order"] for r in outputs[0]] == [3840, 3628800]
+
+    def test_jobs_start_at_most_one_worker_per_group(self, capsys, monkeypatch):
+        started = []
+
+        class FakePool:
+            # runs the tasks in this process and records the pool size
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        code, out, _ = run(capsys, "sweep", "--n", "3", "--jobs", "100000")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert started == [4]
+        code, _, _ = run(capsys, "sweep", "--n", "1", "--jobs", "100000")
+        assert code == 0 and started == [4]  # one group: no pool
+
+    @pytest.mark.parametrize(
+        "argv,env",
+        [(["--jobs", "0"], None), ([], "0"), (["--jobs", "-2"], None)],
+        ids=["flag-zero", "env-zero", "flag-negative"],
+    )
+    def test_jobs_below_one_exits_2(self, argv, env, capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("EPL_JOBS", env)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", None)  # no process may start
+        code, out, err = run(capsys, "sweep", "--n", "3", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --jobs")
 
     def test_gens_list_mode(self, tmp_path, capsys):
         path = tmp_path / "c7.txt"
