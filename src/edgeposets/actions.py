@@ -76,14 +76,15 @@ class PosetAction:
 
         The diagonal group is closed by _tuple_close and split into its two
         factors; it is the graph of an action exactly when its order is |G|
-        (see diagonal_order).  Maps that violate a relation are found only
-        after the whole diagonal group, |G| times the kernel, is closed.
-        Raises GroupTooLarge, before closing anything, for an order above
-        the enumeration cap."""
-        check_enumerable(self.group.order)
+        (see diagonal_order).  The closure stops at |G| + 1 elements, so maps
+        that violate a relation cost no more than a valid action.  Raises
+        GroupTooLarge, before closing anything, for an order above the
+        enumeration cap."""
+        order = self.group.order
+        check_enumerable(order)
         d = self.group.degree
-        closure = _tuple_close(self.diagonal_generators, d + self.poset.n)
-        if len(closure) != self.group.order:
+        closure = _tuple_close(self.diagonal_generators, d + self.poset.n, limit=order)
+        if len(closure) != order:
             raise InternalInconsistency("generator maps violate a group relation")
         return {Permutation(t[:d]): tuple(y - d for y in t[d:]) for t in closure}
 

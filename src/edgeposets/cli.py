@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 from . import catalog
 from .actions import (
@@ -34,12 +35,10 @@ from .actions import (
 from .edges import edge_poset, h_poset, h_to_e_bijection
 from .errors import EdgePosetsError, InternalInconsistency, InvalidInput
 from .peck import (
-    DEFAULT_ORACLE_THRESHOLD,
-    is_peck,
-    is_strongly_sperner,
     is_unitary_peck,
     lefschetz_power_rank,
     max_k_antichain_union,
+    peck_report,
     rank_profile,
     scd_boolean,
     scd_h_boolean,
@@ -159,19 +158,9 @@ def _pad_group(G, n):
 # -- check ------------------------------------------------------------------
 
 
-def _load_view(source, view):
-    """The poset a check inspects: the source itself, or its E or H poset."""
-    base = load_poset_source(source)
-    if view == "edge":
-        return edge_poset(base).poset
-    if view == "h":
-        return h_poset(base).poset
-    return base
-
-
-def run_checks(source, view, checks, oracle_threshold):
-    """Run the requested checks on a poset source; returns (report, all_pass)."""
-    P = _load_view(source, view)
+def run_checks(P, source, view, checks):
+    """Run the requested checks on P, the poset loaded from source and view;
+    returns (report, all_pass)."""
     report = {
         "source": source,
         "view": view,
@@ -185,17 +174,17 @@ def run_checks(source, view, checks, oracle_threshold):
             sym, uni = rank_profile(P)
             entry = {"rank_vector": list(P.rank_vector), "symmetric": sym, "unimodal": uni}
         elif name == "peck":
-            entry = {"passed": is_peck(P, oracle_threshold)}
+            entry = {"passed": peck_report(P)["peck"]}
         elif name == "unitary-peck":
             n = P.max_rank
             ranks = {str(i): lefschetz_power_rank(P, i) for i in range((n + 1) // 2)}
             entry = {"passed": is_unitary_peck(P), "lefschetz_ranks": ranks}
         elif name == "sperner":
-            table = {
-                str(k): max_k_antichain_union(P, k, oracle_threshold)
-                for k in range(1, len(P.rank_vector) + 1)
-            }
-            entry = {"passed": is_strongly_sperner(P, oracle_threshold), "d_table": table}
+            # strongly Sperner: each d_k is the sum of the k largest ranks
+            ks = range(1, len(P.rank_vector) + 1)
+            table = {str(k): max_k_antichain_union(P, k) for k in ks}
+            largest = accumulate(sorted(P.rank_vector, reverse=True))
+            entry = {"passed": list(table.values()) == list(largest), "d_table": table}
         elif name == "self-dual":
             entry = {"passed": is_self_dual(P)}
         elif name == "scd":
@@ -252,7 +241,7 @@ class SweepRecord:
         return out
 
 
-def action_record(G, include_h=False, oracle_threshold=DEFAULT_ORACLE_THRESHOLD):
+def action_record(G, include_h=False):
     """Analyze the induced action of G on B_{deg G} and bundle the results."""
     start = time.perf_counter()
     A = induced_bn_action(G)
@@ -272,14 +261,6 @@ def action_record(G, include_h=False, oracle_threshold=DEFAULT_ORACLE_THRESHOLD)
         raise InternalInconsistency(f"CCT methods disagree: {verdicts}")
     qm = q_map(A)
     quotient_edge = qm.quotient_edges.poset
-    sym, uni = rank_profile(quotient_edge)
-    peck_fields = {
-        "symmetric": sym,
-        "unimodal": uni,
-        "unitary_peck": is_unitary_peck(quotient_edge),
-        "strongly_sperner": is_strongly_sperner(quotient_edge, oracle_threshold),
-        "peck": is_peck(quotient_edge, oracle_threshold),
-    }
     h_rv = None
     if include_h:
         h_act, _ = action_on_edges(A, "H")
@@ -297,7 +278,7 @@ def action_record(G, include_h=False, oracle_threshold=DEFAULT_ORACLE_THRESHOLD)
         rank_vector_quotient=list(qm.base_quotient.poset.rank_vector),
         rank_vector_edge_quotient=list(qm.edge_quotient.poset.rank_vector),
         rank_vector_quotient_edge=list(quotient_edge.rank_vector),
-        peck_quotient_edge=peck_fields,
+        peck_quotient_edge=peck_report(quotient_edge),
         q_bijective=qm.bijective,
         q_is_isomorphism=qm.isomorphism,
         seconds=round(time.perf_counter() - start, 6),
@@ -306,12 +287,11 @@ def action_record(G, include_h=False, oracle_threshold=DEFAULT_ORACLE_THRESHOLD)
 
 
 def _sweep_worker(args):
-    degree, images, oracle_threshold = args
-    G = PermGroup(degree, [Permutation(im) for im in images])
-    return action_record(G, oracle_threshold=oracle_threshold)
+    degree, images = args
+    return action_record(PermGroup(degree, [Permutation(im) for im in images]))
 
 
-def sweep_records(n, jobs=1, oracle_threshold=DEFAULT_ORACLE_THRESHOLD, groups=None):
+def sweep_records(n, jobs=1, groups=None):
     """One record per subgroup conjugacy class of S_n (or per supplied group),
     in deterministic (order, generator string) order.  At most one worker
     process per group is started."""
@@ -319,13 +299,11 @@ def sweep_records(n, jobs=1, oracle_threshold=DEFAULT_ORACLE_THRESHOLD, groups=N
         groups = subgroup_sweep(n)
     workers = min(jobs, len(groups))
     if workers > 1:
-        tasks = [
-            (G.degree, [g.images for g in G.generators], oracle_threshold) for G in groups
-        ]
+        tasks = [(G.degree, [g.images for g in G.generators]) for G in groups]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_worker, tasks))
     else:
-        records = [action_record(G, oracle_threshold=oracle_threshold) for G in groups]
+        records = [action_record(G) for G in groups]
     records.sort(key=lambda r: (r.order, r.group))
     for rec in records:
         if rec.cct and not rec.peck_quotient_edge["peck"]:
@@ -390,8 +368,6 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv", "dot"),
                    default=_env("FORMAT") or "json")
     p.add_argument("--out", default=_env("OUT"))
-    p.add_argument("--oracle-threshold", type=int,
-                   default=_env("ORACLE_THRESHOLD") or DEFAULT_ORACLE_THRESHOLD)
 
     p = sub.add_parser("quotient", help="analyze the induced action of a group on B_n")
     p.add_argument("--group", default=_env("GROUP"),
@@ -401,7 +377,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=_env("N") or None)
     p.add_argument("--format", choices=("json", "csv"), default=_env("FORMAT") or "json")
     p.add_argument("--out", default=_env("OUT"))
-    p.add_argument("--oracle-threshold", type=int, default=_env("ORACLE_THRESHOLD") or DEFAULT_ORACLE_THRESHOLD)
 
     p = sub.add_parser("sweep", help="sweep subgroup conjugacy classes of S_n")
     p.add_argument("--n", type=int, required=not _env("N"), default=_env("N") or None)
@@ -411,7 +386,6 @@ def build_parser():
                    help="worker processes (at least 1; at most one per group is started)")
     p.add_argument("--format", choices=("json", "csv"), default=_env("FORMAT") or "json")
     p.add_argument("--out", default=_env("OUT"))
-    p.add_argument("--oracle-threshold", type=int, default=_env("ORACLE_THRESHOLD") or DEFAULT_ORACLE_THRESHOLD)
 
     p = sub.add_parser("pak", help="box-partition count sequence with verdicts")
     p.add_argument("--l", type=int, required=True, help="rows of the box")
@@ -432,9 +406,12 @@ def cmd_check(args):
     for c in checks:
         if c not in CHECK_NAMES:
             raise InvalidInput(f"unknown check {c!r}; pick from {CHECK_NAMES}")
-    report, ok = run_checks(args.source, view, checks, args.oracle_threshold)
+    P = load_poset_source(args.source)
+    if view != "base":
+        P = (edge_poset if view == "edge" else h_poset)(P).poset
+    report, ok = run_checks(P, args.source, view, checks)
     if args.format == "dot":
-        _emit(poset_to_dot(_load_view(args.source, view)), args.out)
+        _emit(poset_to_dot(P), args.out)
     elif args.format == "csv":
         _emit(records_to_csv([report]), args.out)
     else:
@@ -444,7 +421,7 @@ def cmd_check(args):
 
 def cmd_quotient(args):
     G = load_group(args.group, args.gens, args.n)
-    record = action_record(G, include_h=True, oracle_threshold=args.oracle_threshold)
+    record = action_record(G, include_h=True)
     if args.format == "csv":
         _emit(records_to_csv([record.to_dict()]), args.out)
     else:
@@ -462,9 +439,7 @@ def cmd_sweep(args):
         raise InvalidInput(
             f"exhaustive sweep supports n <= {SWEEP_MAX_N}; pass --gens for larger n"
         )
-    records = sweep_records(
-        args.n, jobs=args.jobs, oracle_threshold=args.oracle_threshold, groups=groups
-    )
+    records = sweep_records(args.n, jobs=args.jobs, groups=groups)
     dicts = [r.to_dict() for r in records]
     if args.format == "csv":
         _emit(records_to_csv(dicts), args.out)

@@ -9,8 +9,12 @@ mod-p kernel and checked with exact integer arithmetic.  When a certificate
 cannot be found, fraction-free Bareiss elimination decides.  The k-antichain
 numbers d_k come from Greene-Kleitman duality: one minimum-cost flow on the
 split-element cover network, where bypass arcs let chains pass elements they
-do not count, gives every d_k, and small posets are cross-checked against an
-exhaustive search.
+do not count, gives every d_k, and posets of at most DEFAULT_ORACLE_THRESHOLD
+(12) elements are cross-checked against an exhaustive search.
+
+peck_report is the one place that decides Peck.  The certified Lefschetz
+ranks of the all-ones order-raising map decide first; the flow runs only when
+they do not make P unitary Peck, and is_unitary_peck alone never runs it.
 """
 
 from __future__ import annotations
@@ -434,31 +438,40 @@ def brute_force_k_antichain_union(P, k):
     return table[min(k, P.n)]
 
 
-def is_strongly_sperner(P, oracle_threshold=DEFAULT_ORACLE_THRESHOLD):
+def is_strongly_sperner(P):
     """True iff for every k the best k-antichain union is just the k largest ranks."""
     sizes = sorted(P.rank_vector, reverse=True)
     total = 0
     for k in range(1, len(sizes) + 1):
         total += sizes[k - 1]
-        if max_k_antichain_union(P, k, oracle_threshold) != total:
+        if max_k_antichain_union(P, k) != total:
             return False
     return True
 
 
-def is_peck(P, oracle_threshold=DEFAULT_ORACLE_THRESHOLD):
-    """Rank-symmetric, rank-unimodal, and strongly Sperner.
+def peck_report(P):
+    """The Peck fields of P; peck = symmetric, unimodal and strongly Sperner.
 
-    Order of checks: rank profile (cheap reject), then the unitary fast path
-    (sufficient, not necessary: Peck needs only SOME order-raising operator to
-    have isomorphic powers, and the all-ones one may fail), then the
-    authoritative d_k computation.
+    Unitary Peck implies Peck, which implies strongly Sperner (Stanley 1980;
+    Proctor-Saks-Sturtevant 1980), so the Greene-Kleitman flow runs only when
+    the certified Lefschetz ranks say P is not unitary Peck.  Then the flow
+    decides: Peck needs only SOME order-raising map with isomorphic powers.
     """
     symmetric, unimodal = rank_profile(P)
-    if not (symmetric and unimodal):
-        return False
-    if is_unitary_peck(P):
-        return True
-    return is_strongly_sperner(P, oracle_threshold)
+    unitary = is_unitary_peck(P)
+    sperner = unitary or is_strongly_sperner(P)
+    return {
+        "symmetric": symmetric,
+        "unimodal": unimodal,
+        "unitary_peck": unitary,
+        "strongly_sperner": sperner,
+        "peck": symmetric and unimodal and sperner,
+    }
+
+
+def is_peck(P):
+    """Rank-symmetric, rank-unimodal, and strongly Sperner (see peck_report)."""
+    return peck_report(P)["peck"]
 
 
 # -- symmetric chain decompositions ---------------------------------------------

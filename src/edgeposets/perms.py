@@ -126,9 +126,10 @@ class Permutation:
         return cls(images)
 
 
-def _tuple_close(gens, n):
+def _tuple_close(gens, n, limit=None):
     """Element set of the group generated by one-line tuples on n points,
-    closed breadth-first under left multiplication by the generators.
+    closed breadth-first under left multiplication by the generators.  With
+    a limit, the closure stops as soon as it holds limit + 1 elements.
 
     The one routine that enumerates a group.  It bounds nothing itself:
     PermGroup.elements and PosetAction.element_maps call check_enumerable
@@ -137,6 +138,7 @@ def _tuple_close(gens, n):
     els = {ident}
     frontier = [ident]
     apply = [g.__getitem__ for g in gens if g != ident]
+    full = -1 if limit is None else limit + 1
     while frontier:
         new = []
         for cur in frontier:
@@ -144,6 +146,8 @@ def _tuple_close(gens, n):
                 nxt = tuple(map(g, cur))
                 if nxt not in els:
                     els.add(nxt)
+                    if len(els) == full:
+                        return els
                     new.append(nxt)
         frontier = new
     return els

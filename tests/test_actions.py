@@ -1,6 +1,7 @@
 import pytest
 
 import edgeposets as ep
+from edgeposets import actions
 from edgeposets.actions import CCT_METHODS, CCTResult, action_on_edges
 from edgeposets.catalog import ELEMENTARY_ABELIAN_2, small_group_tables
 from edgeposets.errors import InternalInconsistency, InvalidParams
@@ -62,6 +63,28 @@ class TestPosetAction:
     def test_element_maps_cover_group(self):
         A = ep.induced_bn_action(ep.dihedral(4))
         assert len(A.element_maps) == 8
+
+    def test_relation_violation_stops_closure_past_group_order(self, monkeypatch):
+        # S_3 with the transposition as a transposition and the 3-cycle as an
+        # 8-cycle of an antichain: the diagonal group is 6 * 8! = 241,920
+        # tuples, but the closure stops once it exceeds |G|
+        sizes = []
+        real = actions._tuple_close
+
+        def close(*args, **kwargs):
+            closure = real(*args, **kwargs)
+            sizes.append(len(closure))
+            return closure
+
+        monkeypatch.setattr(actions, "_tuple_close", close)
+        G = ep.symmetric(3)
+        swap = (1, 0, 2, 3, 4, 5, 6, 7)
+        cycle = (1, 2, 3, 4, 5, 6, 7, 0)
+        maps = [swap if g.images == (1, 0, 2) else cycle for g in G.generators]
+        A = ep.PosetAction(G, ep.antichain(8), maps)
+        with pytest.raises(InternalInconsistency):
+            A.element_maps
+        assert len(sizes) == 1 and sizes[0] <= G.order + 1
 
     def test_relation_violation_caught_by_cct(self):
         G = ep.PermGroup(2, [Permutation.from_cycles("(1 2)", 2)])

@@ -142,6 +142,14 @@ class TestCheck:
         assert code == 3
         assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
+    def test_dot_builds_viewed_poset_once(self, capsys, monkeypatch):
+        built = []
+        real = cli.edge_poset
+        monkeypatch.setattr(cli, "edge_poset", lambda P: built.append(P.n) or real(P))
+        code, out, _ = run(capsys, "check", "bn:3", "--edge", "--format", "dot")
+        assert code == 0 and out.startswith("digraph")
+        assert built == [8]
+
     def test_dot_format(self, capsys):
         code, out, _ = run(capsys, "check", "bn:2", "--checks=ranks", "--format", "dot")
         assert code == 0 and out.startswith("digraph")
@@ -529,9 +537,22 @@ class TestSweep:
         assert "".join(lines).encode() == (DATA / f"sweep_n{n}.jsonl").read_bytes()
 
     def test_consistency_guard_exit_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "is_peck", lambda *a, **k: False)
+        monkeypatch.setattr(cli, "peck_report", lambda P: {"peck": False})
         code, _, err = run(capsys, "sweep", "--n", "1")
         assert code == 3 and "internal inconsistency" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "bn:3"], ["quotient", "--group", "cyclic:3"], ["sweep", "--n", "2"]],
+    ids=["check", "quotient", "sweep"],
+)
+def test_oracle_threshold_flag_is_gone(argv, capsys):
+    # the exhaustive cross-check size is fixed at 12 elements
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--oracle-threshold", "12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oracle-threshold" in capsys.readouterr().err
 
 
 class TestActionRecord:
@@ -541,6 +562,23 @@ class TestActionRecord:
         monkeypatch.setattr(actions, "edge_poset", lambda P: built.append(P.n) or real(P))
         cli.action_record(ep.cyclic(4))
         assert built == [16, 6]  # E(B_4), then E(B_4/C_4)
+
+    @pytest.mark.parametrize(
+        "G,flows",
+        [
+            (ep.trivial(4), 0),  # E(B_4) is unitary Peck: the flow never runs
+            (ep.PermGroup(4, [ep.Permutation([1, 0, 3, 2])]), 1),
+        ],
+        ids=["trivial", "<(12)(34)>"],
+    )
+    def test_flow_runs_only_without_lefschetz_certificate(self, G, flows, monkeypatch):
+        built = []
+        real = peck._MinCostFlow
+        monkeypatch.setattr(peck, "_MinCostFlow", lambda n: built.append(n) or real(n))
+        report = cli.action_record(G).peck_quotient_edge
+        assert len(built) == flows
+        assert report["unitary_peck"] is (flows == 0)
+        assert report["peck"] and report["strongly_sperner"]
 
 
 class TestPak:

@@ -336,6 +336,53 @@ class TestPeck:
             assert ep.is_peck(q.poset)
 
 
+def reference_is_peck(P):
+    """Peck as is_peck decided it before peck_report: rank profile (cheap
+    reject), then the unitary fast path, then the flow."""
+    symmetric, unimodal = ep.rank_profile(P)
+    if not (symmetric and unimodal):
+        return False
+    if ep.is_unitary_peck(P):
+        return True
+    return ep.is_strongly_sperner(P)
+
+
+def assert_report_matches_definitions(P):
+    report = ep.peck_report(P)
+    symmetric, unimodal = ep.rank_profile(P)
+    assert report == {
+        "symmetric": symmetric,
+        "unimodal": unimodal,
+        "unitary_peck": ep.is_unitary_peck(P),
+        "strongly_sperner": ep.is_strongly_sperner(P),
+        "peck": reference_is_peck(P),
+    }
+    assert list(report) == ["symmetric", "unimodal", "unitary_peck", "strongly_sperner", "peck"]
+    assert ep.is_peck(P) is report["peck"]
+    return report
+
+
+class TestPeckReport:
+    @given(graded_posets(max_ranks=4, max_width=3))
+    def test_graded_posets(self, P):
+        assert_report_matches_definitions(P)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_e_and_h_of_boolean(self, n):
+        B = ep.boolean_algebra(n)
+        for P in (ep.edge_poset(B).poset, ep.h_poset(B).poset):
+            assert assert_report_matches_definitions(P)["peck"]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_sweep_quotient_edge_posets(self, n):
+        for G in ep.subgroup_sweep(n):
+            assert_report_matches_definitions(quotient_edge_poset(G))
+
+    def test_e_fig2_not_peck(self):
+        report = assert_report_matches_definitions(ep.edge_poset(fig2_poset()).poset)
+        assert not report["peck"]
+
+
 class TestSCD:
     def test_b1(self):
         D = ep.scd_boolean(1)

@@ -1,10 +1,14 @@
+import os
 import runpy
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_render_examples_writes_nine_dot_files(tmp_path, monkeypatch, capsys):
@@ -16,3 +20,30 @@ def test_render_examples_writes_nine_dot_files(tmp_path, monkeypatch, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
     for name in names:
         assert (tmp_path / name).read_text().startswith("digraph")
+
+
+def test_benchmark_tracer_wraps_the_cli(tmp_path):
+    # the benchmark's tracer wraps entry points by name and binds
+    # max_k_antichain_union's oracle_threshold by name; a renamed entry point
+    # fails install(), a dropped parameter makes the traced commands exit 3
+    code = textwrap.dedent(
+        f"""
+        import spans
+        tracer = spans.install()
+        from edgeposets import cli
+        out = {str(tmp_path)!r}
+        assert cli.main(["check", "bn:3", "--checks=peck,sperner", "--out", out + "/check.json"]) == 0
+        assert cli.main(["quotient", "--group", "cyclic:4", "--n", "4", "--out", out + "/q.json"]) == 0
+        assert tracer.summary()["peck.max_k_antichain_union.calls"] > 0
+        """
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
