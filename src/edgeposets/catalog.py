@@ -64,16 +64,6 @@ def tree10():
     return tree_from_children({"children": [cherry, cherry, {"children": [star3, star3]}]})
 
 
-NAMED_TREES = {"tree8": tree8, "tree10": tree10}
-
-
-def named_tree(name):
-    try:
-        return NAMED_TREES[name]()
-    except KeyError:
-        raise InvalidParams(f"unknown named tree {name!r}") from None
-
-
 # -- multiplication tables of the groups of order <= 8 ---------------------------
 
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, total_ordering
 from itertools import accumulate, groupby
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import (
     GroupTooLarge,
@@ -27,7 +27,7 @@ from .errors import (
 from .poset import BOOLEAN_CAP, GradedPoset
 
 GROUP_CAP = 2_000_000  # largest order enumerated element by element
-SWEEP_MAX_N = 5     # subgroup_sweep and the exhaustive CLI sweep stop here
+SWEEP_MAX_N = 6     # subgroup_sweep and the exhaustive CLI sweep stop here
 
 
 @total_ordering
@@ -636,49 +636,126 @@ def subgroup_sweep(n):
     tuples.  Quotients by conjugate subgroups are isomorphic, so one
     representative per class suffices.
 
-    The classes are found by cyclic extension of class representatives.  Pick
-    one generator per cyclic subgroup of S_n.  Starting from the trivial
-    group, close K = <gens(H), c> for each representative H and each cyclic
-    generator c not in H, from H's stored generators.  Element sets already
-    seen are skipped; a new K is replaced by its least conjugate, which is
-    stored with its conjugated generators as a new representative.
+    The classes are found by cyclic extension of class representatives
+    (Neubüser 1960; Holt–Eick–O'Brien, Handbook of Computational Group
+    Theory, 2005).  Pick one generator per cyclic subgroup of S_n.  Starting
+    from the trivial group, take each representative H with its normaliser
+    N = N(H) in S_n, and close K = <gens(H), c> from H's stored generators for
+    one chosen generator c per N-orbit of cyclic subgroups outside H (N acting
+    by conjugation).  Element sets already seen are skipped; a new K is
+    replaced by its least conjugate, which is stored with its conjugated
+    generators as a new representative.
 
     This finds every class, by induction on the order.  A subgroup K != 1 has
     a maximal subgroup K' and some g in K outside K', and then K = <K', g>.
-    K' is conjugate to a representative R = x K' x^-1, which is extended.  Let
-    c be the chosen generator of <x g x^-1>; c is not in R, so <gens(R), c> =
-    x K x^-1 is closed.  Either it is new and canonicalised, or it was seen
-    before, when its class was already represented; so K's class is found.
+    K' is conjugate to a representative R = x K' x^-1, which is extended.  The
+    cyclic subgroup <x g x^-1> lies outside R, so its N(R)-orbit holds the
+    chosen c = y d y^-1 with y in N(R) and <d> = <x g x^-1>.  Since y R y^-1 =
+    R, <gens(R), c> = y <R, x g x^-1> y^-1 = (y x) K (y x)^-1 is closed.
+    Either it is new and canonicalised, or it was seen before, when its class
+    was already represented; so K's class is found.
+
+    The least conjugate is searched among few conjugators.  Its two smallest
+    elements are the identity and its least non-identity element, which is
+    at least m, the lex-least permutation of any cycle type found among K's
+    non-identity elements; some conjugate contains m, so the least one does.
+    A winning conjugator y therefore has y k y^-1 = m for some k in K of m's
+    cycle type, and for each such k these y form the coset C(m) y_k of m's
+    centraliser, where y_k maps the cycles of k onto those of m.  For h in K,
+    y_k h^-1 carries h k h^-1 to m and K to y_k K y_k^-1, so one k per
+    K-conjugacy class suffices.  Only these cosets are searched, not S_n.
+
+    A closure that passes half of A_n (all generators even) or of S_n is
+    that whole group, by Lagrange's theorem, and is not closed further.
     """
     if not 1 <= n <= SWEEP_MAX_N:
         raise InvalidParams(f"subgroup_sweep supports 1 <= n <= {SWEEP_MAX_N}")
     from itertools import permutations as iperms
 
     full = sorted(iperms(range(n)))
-    inv = {g: tuple(sorted(range(n), key=g.__getitem__)) for g in full}
 
-    def conjugate(x, h):  # x h x^-1
-        return tuple(x[h[j]] for j in inv[x])
+    def conjugation(x):  # h -> x h x^-1
+        after_inverse = itemgetter(*sorted(range(n), key=x.__getitem__))
+        return lambda h: itemgetter(*after_inverse(h))(x)
 
-    cyclic_gens = {frozenset(_tuple_close([g], n)): g for g in full}.values()
+    by = {x: conjugation(x) for x in full}
+
+    def cycles(g):  # fixed points included, shortest first
+        seen, out = set(), []
+        for start in range(n):
+            if start not in seen:
+                cyc = [start]
+                while g[cyc[-1]] != start:
+                    cyc.append(g[cyc[-1]])
+                seen.update(cyc)
+                out.append(cyc)
+        return sorted(out, key=len)
+
+    cycle_type = {g: tuple(map(len, cycles(g))) for g in full}
+    least_of_type = {}  # cycle type -> its lex-least permutation
+    cyclic_of = {}  # element -> the cyclic subgroup it generates
+    cyclic_gens = {}  # cyclic subgroup -> its chosen generator
+    for g in full:
+        least_of_type.setdefault(cycle_type[g], g)
+        cyclic_of[g] = C = frozenset(_tuple_close([g], n))
+        cyclic_gens.setdefault(C, g)
+    whole = frozenset(full)
+    alternating = frozenset(g for g in full if (n - len(cycle_type[g])) % 2 == 0)
+    centralisers = {}
+
+    def least_conjugator(K, gens):  # gens generate K
+        m = min(least_of_type[cycle_type[k]] for k in K if k != full[0])
+        if m not in centralisers:
+            centralisers[m] = [z for z in full if by[z](m) == m]
+        by_gens = [by[g] for g in gens]
+        best = None
+        done = set()  # elements of m's type in the K-classes searched so far
+        for k in K:
+            if k in done or cycle_type[k] != cycle_type[m]:
+                continue
+            k_class = [k]
+            done.add(k)
+            for a in k_class:
+                for conj in by_gens:
+                    b = conj(a)
+                    if b not in done:
+                        done.add(b)
+                        k_class.append(b)
+            y_k = [0] * n
+            for a, b in zip(cycles(k), cycles(m)):
+                for p, q in zip(a, b):
+                    y_k[p] = q
+            for z in centralisers[m]:
+                y = itemgetter(*y_k)(z)
+                key = sorted(map(by[y], K))
+                if best is None or key < best[0]:
+                    best = key, y
+        return best[1]
+
     trivial_set = frozenset([full[0]])
     reps = {trivial_set: ()}  # least conjugate -> its generators
     seen = {trivial_set}
     todo = [(trivial_set, ())]
     while todo:
         H, gens = todo.pop()
-        for c in cyclic_gens:
-            if c in H:
+        normaliser = [by[y] for y in full if all(by[y](h) in H for h in gens)]
+        extended = set()  # cyclic subgroups in the N(H)-orbits handled so far
+        for C, c in cyclic_gens.items():
+            if C in extended or c in H:
                 continue
-            K = frozenset(_tuple_close(gens + (c,), n))
+            extended.update(cyclic_of[conj(c)] for conj in normaliser)
+            gens_K = gens + (c,)
+            G = alternating if alternating.issuperset(gens_K) else whole
+            K = _tuple_close(gens_K, n, limit=len(G) // 2)
+            K = G if len(K) > len(G) // 2 else frozenset(K)
             if K in seen:
                 continue
             seen.add(K)
-            x = min(full, key=lambda y: sorted(conjugate(y, k) for k in K))
-            least = frozenset(conjugate(x, k) for k in K)
+            conj = by[least_conjugator(K, gens_K)]
+            least = frozenset(map(conj, K))
             if least not in reps:
                 seen.add(least)
-                reps[least] = tuple(conjugate(x, h) for h in gens + (c,))
+                reps[least] = tuple(map(conj, gens_K))
                 todo.append((least, reps[least]))
     out = []
     for gens in reps.values():

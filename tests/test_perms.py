@@ -491,6 +491,47 @@ def exhaustive_subgroup_classes(n):
     return out
 
 
+def cyclic_extension_subgroup_classes(n):
+    """The cyclic-extension subgroup_sweep that normaliser orbits and
+    centraliser cosets replaced, kept as an oracle: extend each representative
+    by every cyclic subgroup outside it, and find each new subgroup's least
+    conjugate among all n! conjugators."""
+    from itertools import permutations as iperms
+
+    full = sorted(iperms(range(n)))
+    inv = {g: tuple(sorted(range(n), key=g.__getitem__)) for g in full}
+
+    def conjugate(x, h):  # x h x^-1
+        return tuple(x[h[j]] for j in inv[x])
+
+    cyclic_gens = {frozenset(_tuple_close([g], n)): g for g in full}.values()
+    trivial_set = frozenset([full[0]])
+    reps = {trivial_set: ()}  # least conjugate -> its generators
+    seen = {trivial_set}
+    todo = [(trivial_set, ())]
+    while todo:
+        H, gens = todo.pop()
+        for c in cyclic_gens:
+            if c in H:
+                continue
+            K = frozenset(_tuple_close(gens + (c,), n))
+            if K in seen:
+                continue
+            seen.add(K)
+            x = min(full, key=lambda y: sorted(conjugate(y, k) for k in K))
+            least = frozenset(conjugate(x, k) for k in K)
+            if least not in reps:
+                seen.add(least)
+                reps[least] = tuple(conjugate(x, h) for h in gens + (c,))
+                todo.append((least, reps[least]))
+    out = []
+    for gens in reps.values():
+        G = PermGroup(n, [Permutation(h) for h in gens])
+        out.append(PermGroup(n, minimal_generators(G)))
+    out.sort(key=lambda G: (G.order, G.elements))
+    return out
+
+
 class TestSubgroupSweep:
     def test_counts(self):
         # OEIS A000638: subgroup conjugacy classes of S_n
@@ -499,6 +540,7 @@ class TestSubgroupSweep:
         assert len(ep.subgroup_sweep(3)) == 4
         assert len(ep.subgroup_sweep(4)) == 11
         assert len(ep.subgroup_sweep(5)) == 19
+        assert len(ep.subgroup_sweep(6)) == 56
 
     def test_classes_are_non_conjugate(self):
         for n in (4, 5):
@@ -523,9 +565,18 @@ class TestSubgroupSweep:
             assert G.generators == W.generators
             assert G.elements == W.elements
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_cyclic_extension_oracle(self, n):
+        got = ep.subgroup_sweep(n)
+        want = cyclic_extension_subgroup_classes(n)
+        assert len(got) == len(want)
+        for G, W in zip(got, want):
+            assert G.generators == W.generators
+            assert G.elements == W.elements
+
     def test_out_of_range(self):
         with pytest.raises(InvalidParams):
-            ep.subgroup_sweep(6)
+            ep.subgroup_sweep(7)
 
 
 class TestGeneratorFiles:
@@ -583,7 +634,7 @@ class TestMinimalGenerators:
         yield ep.tree_automorphisms(tree10())
         for table in small_group_tables().values():
             yield ep.left_regular(table)
-        for n in range(1, 6):
+        for n in range(1, 7):
             yield from ep.subgroup_sweep(n)
         for _ in range(250):
             n = rng.randint(1, 7)
