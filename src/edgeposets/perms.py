@@ -708,8 +708,8 @@ def subgroup_sweep(n):
         if m not in centralisers:
             centralisers[m] = [z for z in full if by[z](m) == m]
         by_gens = [by[g] for g in gens]
-        best = None
-        done = set()  # elements of m's type in the K-classes searched so far
+        y_ks = []  # y -> y y_k, for one k per K-class of m's cycle type
+        done = set()
         for k in K:
             if k in done or cycle_type[k] != cycle_type[m]:
                 continue
@@ -725,12 +725,9 @@ def subgroup_sweep(n):
             for a, b in zip(cycles(k), cycles(m)):
                 for p, q in zip(a, b):
                     y_k[p] = q
-            for z in centralisers[m]:
-                y = itemgetter(*y_k)(z)
-                key = sorted(map(by[y], K))
-                if best is None or key < best[0]:
-                    best = key, y
-        return best[1]
+            y_ks.append(itemgetter(*y_k))
+        candidates = (y_k(z) for y_k in y_ks for z in centralisers[m])
+        return min(candidates, key=lambda y: sorted(map(by[y], K)))
 
     trivial_set = frozenset([full[0]])
     reps = {trivial_set: ()}  # least conjugate -> its generators
