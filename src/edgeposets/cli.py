@@ -5,9 +5,12 @@ quotient edge poset, and print box-partition statistics.
 Exit codes: 0 all requested properties hold, 1 some property fails, 2 bad
 input, 3 internal inconsistency (a proved identity failed, or any other
 unexpected exception, i.e. a bug).
-Every flag can also be set through an environment variable with prefix EPL_
-(e.g. EPL_FORMAT, EPL_JOBS); integer values are parsed like the flag itself,
-so a bad one exits 2 with a usage message.
+Some flags can also be set through an environment variable named EPL_ plus
+the flag in upper case: --out and --format on every command that has them,
+check's --edge, --hpos and --checks, quotient's --group, --gens and --n, and
+sweep's --n and --jobs.  Integer values are parsed like the flag itself, so a
+bad one exits 2 with a usage message.  sweep's --gens, pak's --l, --m and --r,
+and check's positional source read no variable.
 """
 
 from __future__ import annotations
@@ -26,11 +29,9 @@ from itertools import accumulate
 from . import catalog
 from .actions import (
     CCT_METHODS,
-    action_on_edges,
     induced_bn_action,
     is_cct,
     q_map,
-    quotient,
 )
 from .edges import edge_poset, h_poset, h_to_e_bijection
 from .errors import EdgePosetsError, InternalInconsistency, InvalidInput
@@ -232,16 +233,9 @@ class SweepRecord:
     q_bijective: bool
     q_is_isomorphism: bool
     seconds: float
-    rank_vector_h_quotient: list | None = None
-
-    def to_dict(self):
-        out = asdict(self)
-        if out["rank_vector_h_quotient"] is None:
-            del out["rank_vector_h_quotient"]
-        return out
 
 
-def action_record(G, include_h=False):
+def action_record(G):
     """Analyze the induced action of G on B_{deg G} and bundle the results."""
     start = time.perf_counter()
     A = induced_bn_action(G)
@@ -261,10 +255,6 @@ def action_record(G, include_h=False):
         raise InternalInconsistency(f"CCT methods disagree: {verdicts}")
     qm = q_map(A)
     quotient_edge = qm.quotient_edges.poset
-    h_rv = None
-    if include_h:
-        h_act, _ = action_on_edges(A, "H")
-        h_rv = list(quotient(h_act).poset.rank_vector)
     # q's base quotient refers back to A; dropping A's cached q breaks that
     # cycle, so both are freed on return, not at the next full collection
     del A.q
@@ -282,7 +272,6 @@ def action_record(G, include_h=False):
         q_bijective=qm.bijective,
         q_is_isomorphism=qm.isomorphism,
         seconds=round(time.perf_counter() - start, 6),
-        rank_vector_h_quotient=h_rv,
     )
 
 
@@ -421,11 +410,16 @@ def cmd_check(args):
 
 def cmd_quotient(args):
     G = load_group(args.group, args.gens, args.n)
-    record = action_record(G, include_h=True)
+    record = action_record(G)
+    out = asdict(record)
+    # H(B_n) has the elements and ranks of E(B_n), and G induces the same maps
+    # on both; a quotient's rank vector reads no covers, so H(B_n)/G has the
+    # rank vector of E(B_n)/G
+    out["rank_vector_h_quotient"] = out["rank_vector_edge_quotient"][:]
     if args.format == "csv":
-        _emit(records_to_csv([record.to_dict()]), args.out)
+        _emit(records_to_csv([out]), args.out)
     else:
-        _emit(json.dumps(record.to_dict(), indent=2) + "\n", args.out)
+        _emit(json.dumps(out, indent=2) + "\n", args.out)
     return 0 if record.peck_quotient_edge["peck"] else 1
 
 
@@ -440,7 +434,7 @@ def cmd_sweep(args):
             f"exhaustive sweep supports n <= {SWEEP_MAX_N}; pass --gens for larger n"
         )
     records = sweep_records(args.n, jobs=args.jobs, groups=groups)
-    dicts = [r.to_dict() for r in records]
+    dicts = [asdict(r) for r in records]
     if args.format == "csv":
         _emit(records_to_csv(dicts), args.out)
     else:

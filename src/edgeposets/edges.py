@@ -4,7 +4,10 @@ and the explicit structural isomorphisms between them.
 An edge element is a cover pair (low, high) of the source poset; its rank in
 both E(P) and H(P) is the rank of the low end.  Covers of E(P) are pairs of
 covers in both coordinates; H(P) keeps only those whose new low differs from
-the old high, which weakens the order.
+the old high, which weakens the order.  So E(P) and H(P) share their elements,
+element order and ranks and differ only in their covers: anything read from
+ranks alone, such as the rank vector of a quotient by a group acting on P, is
+the same for both.
 """
 
 from __future__ import annotations

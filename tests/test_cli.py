@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edgeposets as ep
-from edgeposets import actions, cli, peck
+from edgeposets import actions, cli, edges, peck
 
 from conftest import quotient_edge_poset
 
@@ -339,6 +339,18 @@ class TestQuotient:
         assert rec["rank_vector_quotient"] == [1, 3, 3, 1]
         assert rec["rank_vector_h_quotient"] == [3, 6, 3]
 
+    def test_h_quotient_rank_vector_matches_built_h_quotient(self, tmp_path, capsys):
+        # the oracle builds H(B_n), G's action on it and the quotient
+        path = tmp_path / "gens.txt"
+        for n in range(1, 6):
+            for G in ep.subgroup_sweep(n):
+                path.write_text("".join(g.cycle_string() + "\n" for g in G.generators))
+                code, out, _ = run(capsys, "quotient", "--gens", str(path), "--n", str(n))
+                assert code == 0
+                h_action, _ = actions.action_on_edges(ep.induced_bn_action(G), "H")
+                expected = list(ep.quotient(h_action).poset.rank_vector)
+                assert json.loads(out)["rank_vector_h_quotient"] == expected
+
     def test_gens_file(self, tmp_path, capsys):
         path = tmp_path / "gens.txt"
         path.write_text("# rotation\n(1 2 3 4)\n")
@@ -557,12 +569,20 @@ def test_oracle_threshold_flag_is_gone(argv, capsys):
 
 
 class TestActionRecord:
-    def test_builds_each_edge_poset_once(self, monkeypatch):
+    def test_builds_each_edge_poset_once(self, monkeypatch, capsys):
         built = []
         real = actions.edge_poset
         monkeypatch.setattr(actions, "edge_poset", lambda P: built.append(P.n) or real(P))
         cli.action_record(ep.cyclic(4))
         assert built == [16, 6]  # E(B_4), then E(B_4/C_4)
+        # the quotient command reports H(B_4)/C_4's rank vector without building H
+        h_built = []
+        for module in (edges, actions, cli):
+            monkeypatch.setattr(module, "h_poset", lambda P: h_built.append(P.n))
+        built.clear()
+        code, out, _ = run(capsys, "quotient", "--group", "cyclic:4", "--n", "4")
+        assert code == 0 and json.loads(out)["rank_vector_h_quotient"] == [1, 3, 3, 1]
+        assert built == [16, 6] and h_built == []
 
     @pytest.mark.parametrize(
         "G,flows",

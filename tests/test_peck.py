@@ -11,7 +11,7 @@ from edgeposets.errors import (
     InvalidParams,
 )
 from edgeposets import peck
-from edgeposets.peck import ExactMatrix, cover_matrix
+from edgeposets.peck import ExactMatrix
 
 from conftest import graded_posets, quotient_edge_poset, random_graded_poset
 
@@ -68,11 +68,6 @@ class TestExactMatrix:
     def test_zero_dims(self):
         assert ExactMatrix([], cols=3).rank() == 0
 
-    def test_matmul(self):
-        A = ExactMatrix([[1, 2], [3, 4]])
-        B = ExactMatrix([[5], [6]])
-        assert (A @ B).entries == [[17], [39]]
-
     def test_rank_matches_fraction_elimination(self, rng):
         for _ in range(40):
             rows = rng.randint(1, 6)
@@ -84,8 +79,25 @@ class TestExactMatrix:
             assert ExactMatrix(entries).bareiss_rank() == fraction_rank(entries)
 
 
+def dense_lefschetz_power(P, i):
+    """U^{n-2i} from rank i to rank n-i as a product of 0/1 cover matrices
+    over the integers: the oracle for lefschetz_power_matrix's chain counts."""
+    by_rank = P.elements_by_rank
+    power = [[int(x == y) for x in by_rank[i]] for y in by_rank[i]]
+    for r in range(i, P.max_rank - i):
+        step = [[int((x, y) in P.cover_set) for x in by_rank[r]] for y in by_rank[r + 1]]
+        cols = list(zip(*power))
+        power = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in step]
+    return power
+
+
 def lefschetz_matrices(P):
-    return [peck.lefschetz_power_matrix(P, i) for i in range((P.max_rank + 1) // 2)]
+    """Every Lefschetz power of P, each checked entry for entry against the
+    dense product of cover matrices."""
+    matrices = [peck.lefschetz_power_matrix(P, i) for i in range((P.max_rank + 1) // 2)]
+    for i, M in enumerate(matrices):
+        assert M.entries == dense_lefschetz_power(P, i)
+    return matrices
 
 
 BAREISS = ExactMatrix.bareiss_rank  # the oracle, kept before any monkeypatch
@@ -191,7 +203,8 @@ class TestLefschetz:
             ep.lefschetz_power_rank(ep.boolean_algebra(4), 2)
 
     def test_cover_matrix_shape(self):
-        U = cover_matrix(ep.boolean_algebra(3), 1)
+        # n - 2i = 1: a single step, the 0/1 cover matrix from rank 1 to rank 2
+        U = peck.lefschetz_power_matrix(ep.boolean_algebra(3), 1)
         assert (U.rows, U.cols) == (3, 3)
         assert sum(map(sum, U.entries)) == 6
 

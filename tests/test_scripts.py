@@ -34,7 +34,11 @@ def test_benchmark_tracer_wraps_the_cli(tmp_path):
         out = {str(tmp_path)!r}
         assert cli.main(["check", "bn:3", "--checks=peck,sperner", "--out", out + "/check.json"]) == 0
         assert cli.main(["quotient", "--group", "cyclic:4", "--n", "4", "--out", out + "/q.json"]) == 0
-        assert tracer.summary()["peck.max_k_antichain_union.calls"] > 0
+        summary = tracer.summary()
+        assert summary["peck.max_k_antichain_union.calls"] > 0
+        # quotient records read H(B_n)/G's rank vector off E(B_n)/G's
+        assert summary["edges.h_poset.calls"] == 0
+        assert summary["peck.lefschetz_power_rank.calls"] > 0
         """
     )
     env = dict(
