@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .edges import EdgePoset, _edge_pairs, edge_poset, h_poset
-from .errors import InternalInconsistency, InvalidParams
+from .errors import InternalInconsistency, InvalidMorphism, InvalidParams
 from .perms import (
     Permutation,
     _tuple_close,
@@ -24,35 +24,49 @@ from .perms import (
 from .poset import GradedPoset, PosetMorphism, boolean_algebra, combine
 
 
+def orbit_labels(perms, n):
+    """Orbit label of each point 0..n-1 under the permutations `perms`, orbits
+    numbered by ascending least element: a breadth-first search from each
+    least unlabelled point (forward images suffice on a finite set)."""
+    label = [None] * n
+    count = 0
+    for start in range(n):
+        if label[start] is None:
+            label[start] = count
+            frontier = [start]
+            for p in frontier:
+                for m in perms:
+                    q = m[p]
+                    if label[q] is None:
+                        label[q] = count
+                        frontier.append(q)
+            count += 1
+    return label
+
+
 class PosetAction:
     """A PermGroup acting on a GradedPoset.
 
     The action is stored as one element-permutation per group generator.
-    Each generator map is verified to be a rank-preserving automorphism.  That
-    the maps respect the group's relations is checked on demand, either by
-    check_relations (a Schreier–Sims order, no element table) or by building
-    element_maps, the map of every group element.
+    Each generator map is checked as a bijective PosetMorphism of the poset
+    onto itself, which makes it an automorphism (see
+    PosetMorphism.is_isomorphism); a failure raises InvalidParams naming the
+    generator.  That the maps respect the group's relations is checked on
+    demand, either by check_relations (a Schreier–Sims order, no element
+    table) or by building element_maps, the map of every group element.
     """
 
     def __init__(self, group, poset, gen_maps):
         gen_maps = tuple(tuple(m) for m in gen_maps)
         if len(gen_maps) != len(group.generators):
             raise InvalidParams("one element map per group generator required")
-        cover_set = poset.cover_set
-        rng = list(range(poset.n))
         for g, m in zip(group.generators, gen_maps):
-            if sorted(m) != rng:
+            try:
+                bijective = PosetMorphism(poset, poset, m).is_bijective()
+            except InvalidMorphism as exc:
+                raise InvalidParams(f"map for {g.cycle_string()}: {exc}") from exc
+            if not bijective:
                 raise InvalidParams(f"map for {g.cycle_string()} is not a bijection")
-            for i in range(poset.n):
-                if poset.ranks[m[i]] != poset.ranks[i]:
-                    raise InvalidParams(
-                        f"map for {g.cycle_string()} does not preserve rank at {i}"
-                    )
-            for x, y in poset.covers:
-                if (m[x], m[y]) not in cover_set:
-                    raise InvalidParams(
-                        f"map for {g.cycle_string()} does not preserve cover ({x}, {y})"
-                    )
         self.group = group
         self.poset = poset
         self.gen_maps = gen_maps
@@ -108,27 +122,9 @@ class PosetAction:
 
     @cached_property
     def orbit_of(self):
-        """orbit_of[x]: orbit index; orbits numbered by ascending least element."""
-        n = self.poset.n
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for m in self.gen_maps:
-            for x in range(n):
-                ra, rb = find(x), find(m[x])
-                if ra != rb:
-                    if ra < rb:
-                        parent[rb] = ra
-                    else:
-                        parent[ra] = rb
-        reps = sorted({find(x) for x in range(n)})
-        index = {r: i for i, r in enumerate(reps)}
-        return tuple(index[find(x)] for x in range(n))
+        """orbit_of[x]: orbit index of x under the generator maps, orbits
+        numbered by ascending least element (orbit_labels)."""
+        return tuple(orbit_labels(self.gen_maps, self.poset.n))
 
     @cached_property
     def orbit_reps(self):
@@ -185,22 +181,18 @@ def quotient(A):
 
 
 def induced_bn_action(G):
-    """Induced action of a degree-n permutation group on B_n: g.x = {g.i : i in x}."""
-    n = G.degree
-    P = boolean_algebra(n)
+    """Induced action of a degree-n permutation group on B_n: g.x = {g.i : i in x}.
+
+    Each map is built by subset recursion: once m holds g on the subsets of
+    {0..i-1}, the subsets x + 2^i that add point i map to m[x] | 2^g(i)."""
     maps = []
     for g in G.generators:
-        m = []
-        for x in range(P.n):
-            y = 0
-            bits = x
-            while bits:
-                low = bits & -bits
-                y |= 1 << g(low.bit_length() - 1)
-                bits ^= low
-            m.append(y)
+        m = [0]
+        for i in range(G.degree):
+            bit = 1 << g(i)
+            m += [y | bit for y in m]
         maps.append(m)
-    return PosetAction(G, P, maps)
+    return PosetAction(G, boolean_algebra(G.degree), maps)
 
 
 def is_boolean_poset(P):
@@ -319,7 +311,8 @@ def _cct_scan(A, upward):
 
 def _stabilizer_classes(A, z, adjacent):
     """The orbits of Stab(z) on the covers `adjacent` of z (all lower or all
-    upper), as the least position of its orbit for each position.
+    upper), as an orbit label for each position (orbit_labels); callers
+    compare labels only for equality.
 
     A breadth-first search of z's orbit under the generator maps gives, for
     each orbit point p, a transversal element u_p with u_p(z) = p; it is kept
@@ -343,18 +336,7 @@ def _stabilizer_classes(A, z, adjacent):
         for p, r in restricted.items()
         for m in A.gen_maps
     }
-    label = [None] * len(adjacent)
-    for i in range(len(label)):
-        if label[i] is None:
-            label[i] = i
-            stack = [i]
-            while stack:
-                a = stack.pop()
-                for h in schreier:
-                    if label[h[a]] is None:
-                        label[h[a]] = i
-                        stack.append(h[a])
-    return label
+    return orbit_labels(schreier, len(adjacent))
 
 
 def check_cct_triple(A, x, y, z):
@@ -388,48 +370,26 @@ def product_action(A, B):
 
 def wreath_action(A, l):
     """G wr S_l acting on the l-fold product poset: the l block copies of G act
-    coordinatewise and S_l permutes the coordinates."""
+    coordinatewise and S_l permutes the coordinates.
+
+    l - 1 iterated product_actions give the poset, with (c_0, ..., c_{l-1}) at
+    index sum c_b n^(l-1-b), n = |P|, and the block copies in wreath(G, S_l)'s
+    generator order.  An S_l generator h sends it to sum c_b n^(l-1-h(b))."""
     if l < 1:
         raise InvalidParams("need l >= 1")
-    G = wreath(A.group, symmetric(l))
-    P = A.poset
-    power = P
+    S = symmetric(l)
+    power = A
     for _ in range(l - 1):
-        power = combine(power, P, "cartesian-product")
-    n = P.n
-    size = n**l
-
-    def decode(t):
-        coords = []
+        power = product_action(power, A)
+    n = A.poset.n
+    maps = list(power.gen_maps)
+    for h in S.generators:
+        m = [0]
         for b in range(l):
-            coords.append(t // n ** (l - 1 - b) % n)
-        return coords
-
-    def encode(coords):
-        t = 0
-        for c in coords:
-            t = t * n + c
-        return t
-
-    maps = []
-    for b in range(l):
-        for m in A.gen_maps:
-            out = []
-            for t in range(size):
-                coords = decode(t)
-                coords[b] = m[coords[b]]
-                out.append(encode(coords))
-            maps.append(out)
-    for h in symmetric(l).generators:
-        out = []
-        for t in range(size):
-            coords = decode(t)
-            moved = [0] * l
-            for b in range(l):
-                moved[h(b)] = coords[b]
-            out.append(encode(moved))
-        maps.append(out)
-    return PosetAction(G, power, maps)
+            place = n ** (l - 1 - h(b))
+            m = [y + c * place for y in m for c in range(n)]
+        maps.append(m)
+    return PosetAction(wreath(A.group, S), power.poset, maps)
 
 
 # -- complement self-duality ------------------------------------------------------

@@ -8,9 +8,10 @@ unexpected exception, i.e. a bug).
 Some flags can also be set through an environment variable named EPL_ plus
 the flag in upper case: --out and --format on every command that has them,
 check's --edge, --hpos and --checks, quotient's --group, --gens and --n, and
-sweep's --n and --jobs.  Integer values are parsed like the flag itself, so a
-bad one exits 2 with a usage message.  sweep's --gens, pak's --l, --m and --r,
-and check's positional source read no variable.
+sweep's --n and --jobs.  Integer values are parsed and --format values
+checked like the flag itself, so a bad one exits 2 with a usage message.
+sweep's --gens, pak's --l, --m and --r, and check's positional source read no
+variable.
 """
 
 from __future__ import annotations
@@ -255,6 +256,12 @@ def action_record(G):
         raise InternalInconsistency(f"CCT methods disagree: {verdicts}")
     qm = q_map(A)
     quotient_edge = qm.quotient_edges.poset
+    peck = peck_report(quotient_edge)
+    # the paper's theorem: CCT implies E(B_n/G) is Peck
+    if verdicts["direct"] and not peck["peck"]:
+        raise InternalInconsistency(
+            f"CCT action {G.generator_string()} with non-Peck quotient edge poset"
+        )
     # q's base quotient refers back to A; dropping A's cached q breaks that
     # cycle, so both are freed on return, not at the next full collection
     del A.q
@@ -268,7 +275,7 @@ def action_record(G):
         rank_vector_quotient=list(qm.base_quotient.poset.rank_vector),
         rank_vector_edge_quotient=list(qm.edge_quotient.poset.rank_vector),
         rank_vector_quotient_edge=list(quotient_edge.rank_vector),
-        peck_quotient_edge=peck_report(quotient_edge),
+        peck_quotient_edge=peck,
         q_bijective=qm.bijective,
         q_is_isomorphism=qm.isomorphism,
         seconds=round(time.perf_counter() - start, 6),
@@ -294,11 +301,6 @@ def sweep_records(n, jobs=1, groups=None):
     else:
         records = [action_record(G) for G in groups]
     records.sort(key=lambda r: (r.order, r.group))
-    for rec in records:
-        if rec.cct and not rec.peck_quotient_edge["peck"]:
-            raise InternalInconsistency(
-                f"CCT action {rec.group} with non-Peck quotient edge poset"
-            )
     return records
 
 
@@ -342,6 +344,21 @@ def _emit(text, out):
 # -- argument parsing --------------------------------------------------------------
 
 
+def _add_format(p, choices):
+    """--format, defaulting to EPL_FORMAT or json.  argparse checks choices
+    only on command-line values, but it passes a string default through the
+    type, so the type checks the variable's value as well."""
+
+    def choice(value):
+        if value not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+            )
+        return value
+
+    p.add_argument("--format", choices=choices, type=choice, default=_env("FORMAT") or "json")
+
+
 def build_parser():
     top = argparse.ArgumentParser(prog="edgeposets", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -354,8 +371,7 @@ def build_parser():
                    help="check the relaxed edge poset of the source")
     p.add_argument("--checks", default=_env("CHECKS") or "ranks",
                    help="comma list: " + ",".join(CHECK_NAMES))
-    p.add_argument("--format", choices=("json", "csv", "dot"),
-                   default=_env("FORMAT") or "json")
+    _add_format(p, ("json", "csv", "dot"))
     p.add_argument("--out", default=_env("OUT"))
 
     p = sub.add_parser("quotient", help="analyze the induced action of a group on B_n")
@@ -364,7 +380,7 @@ def build_parser():
                         "hyperoctahedral:3, trivial")
     p.add_argument("--gens", default=_env("GENS"), help="generator file, one cycle-notation permutation per line")
     p.add_argument("--n", type=int, default=_env("N") or None)
-    p.add_argument("--format", choices=("json", "csv"), default=_env("FORMAT") or "json")
+    _add_format(p, ("json", "csv"))
     p.add_argument("--out", default=_env("OUT"))
 
     p = sub.add_parser("sweep", help="sweep subgroup conjugacy classes of S_n")
@@ -373,7 +389,7 @@ def build_parser():
                    help="generator files; skips the exhaustive subgroup enumeration")
     p.add_argument("--jobs", type=int, default=_env("JOBS") or 1,
                    help="worker processes (at least 1; at most one per group is started)")
-    p.add_argument("--format", choices=("json", "csv"), default=_env("FORMAT") or "json")
+    _add_format(p, ("json", "csv"))
     p.add_argument("--out", default=_env("OUT"))
 
     p = sub.add_parser("pak", help="box-partition count sequence with verdicts")

@@ -30,6 +30,24 @@ GROUP_CAP = 2_000_000  # largest order enumerated element by element
 SWEEP_MAX_N = 6     # subgroup_sweep and the exhaustive CLI sweep stop here
 
 
+def _cycles(images):
+    """The cycles of a permutation in one-line notation, fixed points
+    included, each starting at its least point, in ascending order of it."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if not seen[start]:
+            cyc = [start]
+            seen[start] = True
+            j = images[start]
+            while j != start:
+                cyc.append(j)
+                seen[j] = True
+                j = images[j]
+            out.append(cyc)
+    return out
+
+
 @total_ordering
 class Permutation:
     """A bijection of {0..n-1} in one-line notation.
@@ -82,21 +100,12 @@ class Permutation:
 
     def cycle_string(self):
         """Cycle notation, 1-indexed, fixed points omitted; identity is '()'."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            out.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
-        return "".join(out) if out else "()"
+        out = "".join(
+            "(" + " ".join(str(k + 1) for k in cyc) + ")"
+            for cyc in _cycles(self.images)
+            if len(cyc) > 1
+        )
+        return out or "()"
 
     @classmethod
     def from_cycles(cls, text, degree=None):
@@ -681,15 +690,7 @@ def subgroup_sweep(n):
     by = {x: conjugation(x) for x in full}
 
     def cycles(g):  # fixed points included, shortest first
-        seen, out = set(), []
-        for start in range(n):
-            if start not in seen:
-                cyc = [start]
-                while g[cyc[-1]] != start:
-                    cyc.append(g[cyc[-1]])
-                seen.update(cyc)
-                out.append(cyc)
-        return sorted(out, key=len)
+        return sorted(_cycles(g), key=len)
 
     cycle_type = {g: tuple(map(len, cycles(g))) for g in full}
     least_of_type = {}  # cycle type -> its lex-least permutation

@@ -196,18 +196,12 @@ def mask_to_points(mask):
 
 
 def combine(P, Q, mode):
-    """Disjoint union (ranks kept as given) or cartesian product of two posets.
+    """Cartesian product of two posets (mode "cartesian-product", the only
+    mode; disjoint unions are disjoint_union's).
 
     Product elements are pairs (p, q) indexed p * Q.n + q with rank the sum of
     coordinate ranks; product covers change exactly one coordinate by a cover.
     """
-    if mode == "disjoint-union":
-        ranks = P.ranks + Q.ranks
-        covers = list(P.covers) + [(x + P.n, y + P.n) for x, y in Q.covers]
-        labels = None
-        if P.labels is not None and Q.labels is not None:
-            labels = P.labels + Q.labels
-        return GradedPoset(ranks, covers, labels)
     if mode == "cartesian-product":
         ranks = [P.ranks[i] + Q.ranks[j] for i in range(P.n) for j in range(Q.n)]
         covers = []
@@ -438,7 +432,7 @@ def poset_to_dot(P, name="poset"):
     """DOT source drawing covers upward, one row of nodes per rank."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=plaintext];"]
     for i in range(P.n):
-        lbl = P.label(i).replace('"', r"\"")
+        lbl = P.label(i).replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
         lines.append(f'  n{i} [label="{lbl}"];')
     for r, elems in enumerate(P.elements_by_rank):
         if elems:

@@ -39,6 +39,77 @@ def assert_scans_match_oracle(A):
         assert ep.is_cct(A, method) == element_map_cct_scan(A, upward)
 
 
+def element_map_orbits(A):
+    """Orbit labels read off every group element's map, numbered by ascending
+    least element: the oracle for PosetAction.orbit_of."""
+    label = [None] * A.poset.n
+    count = 0
+    for x in range(A.poset.n):
+        if label[x] is None:
+            for m in A.element_maps.values():
+                label[m[x]] = count
+            count += 1
+    return tuple(label)
+
+
+def per_bit_induced_maps(G):
+    """g.x = {g.i : i in x} taken one bit of x at a time, as induced_bn_action
+    built its maps before the subset recursion: the oracle for its maps."""
+    maps = []
+    for g in G.generators:
+        m = []
+        for x in range(1 << G.degree):
+            y = 0
+            bits = x
+            while bits:
+                low = bits & -bits
+                y |= 1 << g(low.bit_length() - 1)
+                bits ^= low
+            m.append(y)
+        maps.append(tuple(m))
+    return tuple(maps)
+
+
+def coordinate_wreath_action(A, l):
+    """G wr S_l on the l-fold product poset, built by decoding and encoding
+    coordinates as wreath_action did before it reused product_action: the
+    oracle for wreath_action.  Returns (group, poset, gen_maps)."""
+    P = A.poset
+    power = P
+    for _ in range(l - 1):
+        power = ep.combine(power, P, "cartesian-product")
+    n = P.n
+
+    def decode(t):
+        return [t // n ** (l - 1 - b) % n for b in range(l)]
+
+    def encode(coords):
+        t = 0
+        for c in coords:
+            t = t * n + c
+        return t
+
+    maps = []
+    for b in range(l):
+        for m in A.gen_maps:
+            out = []
+            for t in range(n**l):
+                coords = decode(t)
+                coords[b] = m[coords[b]]
+                out.append(encode(coords))
+            maps.append(tuple(out))
+    for h in ep.symmetric(l).generators:
+        out = []
+        for t in range(n**l):
+            coords = decode(t)
+            moved = [0] * l
+            for b in range(l):
+                moved[h(b)] = coords[b]
+            out.append(encode(moved))
+        maps.append(tuple(out))
+    return ep.wreath(A.group, ep.symmetric(l)), power, tuple(maps)
+
+
 def orbit_counts_by_rank(A):
     seen = {}
     for x in range(A.poset.n):
@@ -51,6 +122,19 @@ class TestPosetAction:
         P = ep.chain(2)
         with pytest.raises(InvalidParams):
             ep.PosetAction(ep.symmetric(2), P, [(1, 0)])  # rank-breaking
+
+    @pytest.mark.parametrize(
+        "ranks,covers,m",
+        [
+            ([0, 0], [], (0,)),  # wrong length
+            ([0, 0], [], (0, 0)),  # preserves ranks and covers, not a bijection
+            ([0, 0, 1], [(0, 2)], (1, 0, 2)),  # a bijection breaking cover (0, 2)
+        ],
+        ids=["length", "not-bijective", "cover"],
+    )
+    def test_rejects_invalid_generator_map(self, ranks, covers, m):
+        with pytest.raises(InvalidParams, match=r"map for \(1 2\)"):
+            ep.PosetAction(ep.symmetric(2), ep.GradedPoset(ranks, covers), [m])
 
     def test_rejects_relation_violation(self):
         # C_2 generator sent to a 4-cycle on an antichain: squares to a
@@ -293,6 +377,57 @@ class TestCCTOracle:
                     if A.orbit_of[x] == A.orbit_of[y]:
                         expected = any(m[x] == y for m in stab)
                         assert ep.check_cct_triple(A, x, y, z) == expected
+
+
+class TestReplacedRoutineOracles:
+    """orbit_of, induced_bn_action and wreath_action against the routines
+    they replaced, kept here as oracles."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_orbit_of_sweep_classes(self, n):
+        for G in ep.subgroup_sweep(n):
+            A = ep.induced_bn_action(G)
+            for B in (A, action_on_edges(A, "E")[0], action_on_edges(A, "H")[0]):
+                assert B.orbit_of == element_map_orbits(B)
+
+    def test_orbit_of_product_and_wreath_actions(self):
+        c3 = ep.induced_bn_action(ep.cyclic(3))
+        d4 = ep.induced_bn_action(ep.dihedral(4))
+        s2 = ep.induced_bn_action(ep.symmetric(2))
+        for B in (
+            ep.product_action(c3, d4),
+            ep.product_action(s2, c3),
+            ep.wreath_action(c3, 2),
+            ep.wreath_action(s2, 3),
+        ):
+            assert B.orbit_of == element_map_orbits(B)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_induced_maps_sweep_classes(self, n):
+        for G in ep.subgroup_sweep(n):
+            assert ep.induced_bn_action(G).gen_maps == per_bit_induced_maps(G)
+
+    @pytest.mark.parametrize(
+        "family,n", [("dihedral", 10), ("symmetric", 8), ("hyperoctahedral", 4)]
+    )
+    def test_induced_maps_named_groups(self, family, n):
+        G = ep.named_group(family, n)
+        assert ep.induced_bn_action(G).gen_maps == per_bit_induced_maps(G)
+
+    @pytest.mark.parametrize(
+        "G,l",
+        [(ep.cyclic(3), 2), (ep.symmetric(2), 3), (ep.dihedral(4), 2), (ep.cyclic(3), 1)],
+        ids=["C3-2", "S2-3", "D4-2", "C3-1"],
+    )
+    def test_wreath_matches_coordinate_construction(self, G, l):
+        A = ep.induced_bn_action(G)
+        WA = ep.wreath_action(A, l)
+        group, power, maps = coordinate_wreath_action(A, l)
+        assert WA.gen_maps == maps
+        assert WA.group.generators == group.generators
+        assert WA.poset.ranks == power.ranks
+        assert WA.poset.covers == power.covers
+        assert WA.poset.labels == power.labels
 
 
 class TestProductWreathActions:

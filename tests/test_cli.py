@@ -160,6 +160,18 @@ class TestCheck:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["rank_vector"] == "[1, 3, 3, 1]"
 
+    def test_dot_escapes_labels(self, tmp_path, capsys):
+        # a backslash, a quote and a newline, each escaped for a DOT string
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(
+            {"ranks": [0, 0, 1], "covers": [[0, 2]], "labels": ["a\\", 'b"c', "d\ne"]}
+        ))
+        code, out, _ = run(capsys, "check", str(path), "--format", "dot")
+        assert code == 0
+        assert '  n0 [label="a\\\\"];\n' in out
+        assert '  n1 [label="b\\"c"];\n' in out
+        assert '  n2 [label="d\\ne"];\n' in out
+
     def test_env_format_mirror(self, capsys, monkeypatch):
         monkeypatch.setenv("EPL_FORMAT", "csv")
         code, out, _ = run(capsys, "check", "bn:3", "--checks=ranks")
@@ -314,6 +326,13 @@ class TestExitCodeFuzz:
 
 
 class TestQuotient:
+    def test_consistency_guard_exit_3(self, capsys, monkeypatch):
+        # S_3 on B_3 is CCT, so a non-Peck E(B_3/S_3) contradicts the theorem
+        monkeypatch.setattr(cli, "peck_report", lambda P: {"peck": False})
+        code, out, err = run(capsys, "quotient", "--group", "symmetric:3")
+        assert code == 3 and out == ""
+        assert "internal inconsistency: CCT action" in err
+
     def test_dihedral9(self, capsys):
         code, out, _ = run(capsys, "quotient", "--group", "dihedral:9", "--n", "9")
         assert code == 0  # quotient edge poset is still Peck
@@ -553,6 +572,51 @@ class TestSweep:
         monkeypatch.setattr(cli, "peck_report", lambda P: {"peck": False})
         code, _, err = run(capsys, "sweep", "--n", "1")
         assert code == 3 and "internal inconsistency" in err
+
+    def test_pinned_n7_subset(self, tmp_path):
+        # tests/data/sweep_n7.jsonl: `sweep --n 7` recorded with SWEEP_MAX_N
+        # raised to 7, each record's `seconds` removed.  Re-derive three
+        # classes through --gens: the trivial group, the 7-cycle and a non-CCT
+        # class whose quotient edge poset is Peck but not unitary Peck
+        pinned = (DATA / "sweep_n7.jsonl").read_text().splitlines(keepends=True)
+        assert len(pinned) == 96  # subgroup classes of S_7 (OEIS A000638)
+        chosen = ["()", "(1 2 3 4 5 6 7)", "(5 6 7);(1 2)(3 4)(6 7)"]
+        expected = [line for line in pinned if json.loads(line)["group"] in chosen]
+        assert len(expected) == len(chosen)
+        paths = []
+        for i, group in enumerate(chosen):
+            path = tmp_path / f"g{i}.txt"
+            path.write_text(group.replace(";", "\n") + "\n")
+            paths.append(str(path))
+        target = tmp_path / "records.jsonl"
+        assert cli.main(["sweep", "--n", "7", "--gens", *paths, "--out", str(target)]) == 0
+        lines = []
+        for line in target.read_text().splitlines():
+            record = json.loads(line)
+            del record["seconds"]
+            lines.append(json.dumps(record) + "\n")
+        assert lines == expected
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["check", "bn:2"], "xml"),
+        (["quotient", "--group", "cyclic:3"], "dot"),
+        (["sweep", "--n", "2"], "dot"),
+    ],
+    ids=["check", "quotient", "sweep"],
+)
+def test_env_format_outside_choices_exits_2(argv, value, capsys, monkeypatch):
+    # argparse checks choices on command-line values only, not on defaults
+    monkeypatch.setenv("EPL_FORMAT", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage:")
+    assert f"argument --format: invalid choice: '{value}'" in err
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,12 @@ class TestCombine:
         P = ep.disjoint_union([b2, b2, b2])
         assert P.rank_vector == (3, 6, 3)
 
+    @pytest.mark.parametrize("mode", ["disjoint-union", "sum"])
+    def test_unknown_mode(self, mode):
+        # disjoint unions are disjoint_union's; combine only takes products
+        with pytest.raises(InvalidParams):
+            ep.combine(ep.chain(2), ep.chain(2), mode)
+
     def test_chain_product_rank_vector(self):
         P = ep.combine(ep.chain(3), ep.chain(3), "cartesian-product")
         assert P.rank_vector == (1, 2, 3, 2, 1)
