@@ -196,13 +196,16 @@ def induced_bn_action(G):
 
 
 def is_boolean_poset(P):
-    """Structural check that P is boolean_algebra(n) for some n (bit-mask encoded)."""
+    """Whether P is boolean_algebra(n) for some n, bit-mask encoded.
+
+    Each cover (x, y) must add one bit to x: y contains x, and the ranks
+    (popcounts) differ by one.  Covers are distinct, so n 2^(n-1) of them are
+    all of B_n's covers.
+    """
     n = P.n.bit_length() - 1
-    if P.n != 1 << n:
+    if P.n != 1 << n or any(P.ranks[x] != x.bit_count() for x in range(P.n)):
         return False
-    if any(P.ranks[x] != x.bit_count() for x in range(P.n)):
-        return False
-    return len(P.covers) == n * (1 << (n - 1)) if n > 0 else len(P.covers) == 0
+    return all(x & y == x for x, y in P.covers) and len(P.covers) == n * P.n // 2
 
 
 def action_on_edges(A, which="E"):

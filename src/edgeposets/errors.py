@@ -47,14 +47,6 @@ class InvalidMorphism(EdgePosetsError):
     """A map between posets is not rank- and cover-preserving."""
 
 
-class ImageNotCover(InvalidMorphism):
-    """An induced edge map hit a pair that is not a cover of the target."""
-
-
-class ImageChainNotSaturated(EdgePosetsError):
-    """A transported chain is not saturated in the target poset."""
-
-
 class InvalidChainDecomposition(EdgePosetsError):
     """Chains fail to partition the poset, saturate, or sit symmetrically."""
 

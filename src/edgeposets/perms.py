@@ -325,8 +325,6 @@ def named_group(family, params):
         return hyperoctahedral(int(params))
     if family == "trivial":
         return trivial(int(params))
-    if family == "elementary-abelian-2":
-        return elementary_abelian_2(params)
     raise InvalidParams(f"unknown group family {family!r}")
 
 
@@ -376,45 +374,27 @@ def wreath(G, H):
 
 
 def left_regular(table):
-    """Permutation group of left multiplications g -> (x -> g*x) of a finite
-    group given by its multiplication table.
+    """Permutation group of left multiplications L_a: x -> a*x of a finite
+    group given by its multiplication table; faithful, transitive, of order n.
 
-    The table is verified as a group: rows/columns are permutations, a
-    two-sided identity and inverses exist, and associativity is checked
-    exhaustively for orders <= 64.  The result is faithful, transitive, and
-    of order n.
+    The table is a group table exactly when its rows L_a are permutations,
+    some column e is the identity map (a*e = a), and the rows generate a
+    group of order n.  Then L_a(e) = a, so the n rows are distinct and make
+    up that whole group.  L_a L_b is some L_c, and evaluating at e gives
+    c = a*b: so L_a L_b = L_{a*b}, which is associativity.  The identity
+    permutation is some L_f, a left identity, so f = f*e = e is two-sided,
+    and L_a^-1 = L_b gives a*b = b*a = e.
     """
     n = len(table)
     rng = list(range(n))
     for row in table:
         if len(row) != n or sorted(row) != rng:
             raise NotAGroup("rows must be permutations of 0..n-1")
-    for c in range(n):
-        if sorted(table[r][c] for r in range(n)) != rng:
-            raise NotAGroup("columns must be permutations of 0..n-1")
-    ident = None
-    for e in range(n):
-        if all(table[e][x] == x for x in range(n)) and all(
-            table[x][e] == x for x in range(n)
-        ):
-            ident = e
-            break
-    if ident is None:
-        raise NotAGroup("no two-sided identity")
-    for g in range(n):
-        if not any(table[g][h] == ident and table[h][g] == ident for h in range(n)):
-            raise NotAGroup(f"element {g} has no inverse")
-    if n <= 64:
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                for c in range(n):
-                    if table[ab][c] != table[a][table[b][c]]:
-                        raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
-    gens = [Permutation(row) for row in table]
-    out = PermGroup(n, gens)
+    if not any(all(table[a][e] == a for a in rng) for e in rng):
+        raise NotAGroup("no column is the identity map")
+    out = PermGroup(n, [Permutation(row) for row in table])
     if out.order != n:
-        raise InternalInconsistency("left-regular image has wrong order")
+        raise NotAGroup(f"rows generate a group of order {out.order}, not {n}")
     return out
 
 

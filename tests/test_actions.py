@@ -526,6 +526,21 @@ class TestComplementSelfDuality:
         with pytest.raises(InvalidParams):
             ep.complement_self_duality(A)
 
+    def test_rewired_b3_is_not_boolean(self):
+        # B_3 with cover ({3}, {1,3}) rewired to ({3}, {1,2}): the ranks and
+        # the cover count of B_3, but not B_3
+        B3 = ep.boolean_algebra(3)
+        P = ep.GradedPoset(B3.ranks, [(4, 3) if c == (4, 5) else c for c in B3.covers])
+        assert not ep.is_isomorphic(P, B3)[0]
+        assert not actions.is_boolean_poset(P)
+        with pytest.raises(InvalidParams):
+            ep.complement_self_duality(ep.PosetAction(ep.trivial(3), P, []))
+
+    def test_boolean_algebras_are_boolean(self):
+        for n in range(6):
+            assert actions.is_boolean_poset(ep.boolean_algebra(n))
+        assert not actions.is_boolean_poset(ep.antichain(2))
+
 
 class TestQNotIsomorphism:
     def test_d20_on_b10_q_bijective_not_isomorphism(self):

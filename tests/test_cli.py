@@ -53,6 +53,13 @@ class TestCheck:
             assert code == 0
             assert json.loads(out)["checks"]["scd"]["chains"] == chains
 
+    @pytest.mark.parametrize("view", ["--edge", "--hpos"])
+    def test_scd_b0_edge_views_have_no_chains(self, capsys, view):
+        # E(B_0) and H(B_0) are empty: their decomposition has no chains
+        code, out, _ = run(capsys, "check", "bn:0", "--checks=scd", view)
+        assert code == 0
+        assert json.loads(out)["checks"]["scd"]["chains"] == 0
+
     def test_bad_source_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "nowhere.json", "--checks=ranks")
         assert code == 2 and "error" in err

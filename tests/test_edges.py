@@ -105,6 +105,50 @@ class TestNaiveRelation:
     def test_chains_graded(self, n):
         assert ep.naive_edge_relation_is_graded(ep.chain(n))
 
+    def test_agrees_with_hasse_reduction(self, rng):
+        fixed = [fig1_poset(), fig2_poset(), *map(ep.boolean_algebra, range(1, 5))]
+        fixed += [ep.chain(n) for n in range(1, 7)]
+        inflated = [inflate(rng, fig1_poset())[0] for _ in range(400)]
+        randoms = [random_graded_poset(rng, max_ranks=5) for _ in range(1000)]
+        verdicts = []
+        for P in fixed + inflated + randoms:
+            expected = reference_naive_edge_relation_is_graded(P)
+            assert ep.naive_edge_relation_is_graded(P) == expected
+            verdicts.append(expected)
+        assert verdicts.count(False) >= 300 and verdicts.count(True) >= 900
+
+
+def reference_naive_edge_relation_is_graded(P):
+    """The verdict as first computed: build the componentwise relation on
+    edge pairs as bitsets, take its Hasse reduction, and check that every
+    Hasse edge raises edge rank by exactly one."""
+    pairs = sorted(P.covers, key=lambda c: (P.ranks[c[0]], c[0], c[1]))
+    m = len(pairs)
+    ranks = [P.ranks[x] for x, _ in pairs]
+    above = [0] * m
+    for i, (x, y) in enumerate(pairs):
+        for j, (a, b) in enumerate(pairs):
+            if i != j and P.leq(x, a) and P.leq(y, b):
+                above[i] |= 1 << j
+    for i in range(m):
+        bits = above[i]
+        j = 0
+        while bits >> j:
+            if (bits >> j) & 1:
+                # Hasse edge i -> j iff nothing sits strictly between
+                between = False
+                mids = above[i]
+                k = 0
+                while mids >> k:
+                    if (mids >> k) & 1 and k != j and (above[k] >> j) & 1:
+                        between = True
+                        break
+                    k += 1
+                if not between and ranks[j] != ranks[i] + 1:
+                    return False
+            j += 1
+    return True
+
 
 class TestHToE:
     def test_b3(self):
@@ -124,6 +168,10 @@ class TestHToE:
 
 
 class TestHBnDecomposition:
+    def test_n0_empty(self):
+        f = ep.h_bn_decomposition(0)
+        assert f.source.n == 0 and f.target.n == 0 and f.is_isomorphism()
+
     def test_n1_single_point(self):
         f = ep.h_bn_decomposition(1)
         assert f.source.n == 1 and f.target.n == 1

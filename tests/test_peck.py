@@ -5,11 +5,7 @@ from hypothesis import given
 
 import edgeposets as ep
 from edgeposets.catalog import fig1_poset, fig2_poset
-from edgeposets.errors import (
-    ImageChainNotSaturated,
-    InvalidChainDecomposition,
-    InvalidParams,
-)
+from edgeposets.errors import InvalidChainDecomposition, InvalidParams
 from edgeposets import peck
 from edgeposets.peck import ExactMatrix
 
@@ -435,6 +431,10 @@ class TestSCD:
         D = ep.scd_boolean(1)
         with pytest.raises(InvalidParams):
             ep.scd_transport(D, ep.PosetMorphism.identity(loose))
+
+    def test_h_b0_has_no_chains(self):
+        D = ep.scd_h_boolean(0)
+        assert D.host.n == 0 and D.chains == ()
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_h_to_e_transport(self, n):

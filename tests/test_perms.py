@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import edgeposets as ep
@@ -188,16 +190,149 @@ class TestLeftRegular:
             ep.left_regular([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
 
     def test_associativity_guard(self):
-        # a latin square with two-sided identity that is not associative
+        with pytest.raises(NotAGroup):
+            ep.left_regular(LOOP5)
+
+    def test_loop_of_order_65_is_not_a_group(self):
+        # LOOP5 x Z_13 is a non-associative loop of order 65; its rows
+        # generate a group of order 1560
         table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
+            [LOOP5[a][c] * 13 + (b + d) % 13 for c in range(5) for d in range(13)]
+            for a in range(5)
+            for b in range(13)
         ]
         with pytest.raises(NotAGroup):
             ep.left_regular(table)
+
+    def test_named_group_has_no_elementary_abelian_family(self):
+        with pytest.raises(InvalidParams, match="unknown group family"):
+            ep.named_group("elementary-abelian-2", "(1 2);(3 4)")
+
+
+# a latin square with two-sided identity and inverses that is not associative
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def reference_is_group_table(table):
+    """The group-axiom scan left_regular ran before it read the verdict off
+    the order of the group its rows generate: rows and columns are
+    permutations, a two-sided identity and inverses exist, and the product is
+    associative (scanned here at every order, not only up to 64)."""
+    n = len(table)
+    rng = list(range(n))
+    for row in table:
+        if len(row) != n or sorted(row) != rng:
+            return False
+    for c in range(n):
+        if sorted(table[r][c] for r in range(n)) != rng:
+            return False
+    ident = None
+    for e in range(n):
+        if all(table[e][x] == x for x in range(n)) and all(
+            table[x][e] == x for x in range(n)
+        ):
+            ident = e
+            break
+    if ident is None:
+        return False
+    for g in range(n):
+        if not any(table[g][h] == ident and table[h][g] == ident for h in range(n)):
+            return False
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    return False
+    return True
+
+
+def left_regular_accepts(table):
+    try:
+        ep.left_regular(table)
+    except NotAGroup:
+        return False
+    return True
+
+
+def relabel(table, sigma):
+    """The table of the same product with element a renamed sigma[a]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[sigma[a]][sigma[b]] = sigma[table[a][b]]
+    return out
+
+
+class TestLeftRegularOracle:
+    """left_regular's verdict (rows are permutations, a column is the
+    identity map, the rows generate a group of order n) against the
+    group-axiom scan it replaced."""
+
+    def agree(self, table):
+        expected = reference_is_group_table(table)
+        assert left_regular_accepts(table) == expected, table
+        return expected
+
+    def test_small_groups_relabelled_and_perturbed(self):
+        rng = random.Random(14)
+        verdicts = []
+        for table in small_group_tables().values():
+            n = len(table)
+            assert self.agree(table)
+            for _ in range(5):
+                sigma = list(range(n))
+                rng.shuffle(sigma)
+                copy = relabel(table, sigma)
+                assert self.agree(copy)
+                for _ in range(4):
+                    # swap two entries of one row: rows stay permutations
+                    row = rng.choice(copy)
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    row[i], row[j] = row[j], row[i]
+                    verdicts.append(self.agree([list(r) for r in copy]))
+                    row[i], row[j] = row[j], row[i]
+                for _ in range(4):
+                    # swap two entries anywhere in the table
+                    (a, b), (c, d) = [(rng.randrange(n), rng.randrange(n)) for _ in "ab"]
+                    perturbed = [list(r) for r in copy]
+                    perturbed[a][b], perturbed[c][d] = perturbed[c][d], perturbed[a][b]
+                    verdicts.append(self.agree(perturbed))
+        assert verdicts.count(False) >= 300 and verdicts.count(True) >= 100
+
+    def test_isotopes_of_group_tables(self):
+        # rows and columns of a group table permuted: latin squares that are
+        # groups, loops or quasigroups without identity
+        rng = random.Random(15)
+        verdicts = []
+        for table in small_group_tables().values():
+            n = len(table)
+            for _ in range(30):
+                alpha, beta = rng.sample(range(n), n), rng.sample(range(n), n)
+                isotope = [[table[alpha[a]][beta[b]] for b in range(n)] for a in range(n)]
+                verdicts.append(self.agree(isotope))
+        assert verdicts.count(False) >= 100 and verdicts.count(True) >= 50
+
+    def test_random_permutation_rows(self):
+        rng = random.Random(16)
+        verdicts = []
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            verdicts.append(self.agree([rng.sample(range(n), n) for _ in range(n)]))
+        assert verdicts.count(False) >= 200 and verdicts.count(True) >= 50
+
+    def test_order_5_loop(self):
+        rng = random.Random(17)
+        assert not self.agree(LOOP5)
+        for _ in range(20):
+            assert not self.agree(relabel(LOOP5, rng.sample(range(5), 5)))
 
 
 def _cycles(g):
