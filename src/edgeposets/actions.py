@@ -2,12 +2,18 @@
 actions on boolean algebras and on edge posets, quotient posets, the
 comparison map q from E(P)/G to E(P/G), the four equivalent common cover
 transitivity tests, and product/wreath constructions of actions.
+
+q reads E(P)/G off P's covers and the generator maps (_edge_quotient): the
+covers of E(P)/G come from the orbit representatives alone, so E(P) itself
+is never built.  action_on_edges still builds E(P) or H(P) with the induced
+action on it, for callers that want the whole edge poset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import NamedTuple
 
 from .edges import EdgePoset, _edge_pairs, edge_poset, h_poset
@@ -42,6 +48,15 @@ def orbit_labels(perms, n):
                         frontier.append(q)
             count += 1
     return label
+
+
+def _least_of_each(orbit_of):
+    """Least point of each orbit, in orbit order, for labels numbered by
+    ascending least element (orbit_labels): the first occurrences."""
+    first = {}
+    for x, o in enumerate(orbit_of):
+        first.setdefault(o, x)
+    return tuple(first.values())
 
 
 class PosetAction:
@@ -129,25 +144,25 @@ class PosetAction:
     @cached_property
     def orbit_reps(self):
         """Ascending least element of each orbit."""
-        seen = {}
-        for x in range(self.poset.n):
-            seen.setdefault(self.orbit_of[x], x)
-        return tuple(seen[i] for i in range(len(seen)))
+        return _least_of_each(self.orbit_of)
 
     @cached_property
     def q(self):
         """The comparison map q: E(P)/G -> E(P/G), built once per action.
 
-        Only q is cached: caching the edge actions and quotients as well keeps
-        E(P)'s EdgePoset (its pair table and index) alive and raises peak memory.
+        E(P)/G comes from _edge_quotient and E(P) is never built: G acts on
+        E(P) by automorphisms, so each cover of E(P) is carried onto a cover
+        whose lower end is an orbit representative, and the covers of E(P)/G
+        are read off the representatives alone.  E(P/G) is built in full.  q
+        sends the orbit of an edge (x, y) to the edge (orbit x, orbit y).
         """
         quot = quotient(self)
-        eact, ep = action_on_edges(self, "E")
-        eq = quotient(eact)
+        pairs = _edge_pairs(self.poset)
+        eq = _edge_quotient(self, pairs)
         qe = edge_poset(quot.poset)
         image = []
         for rep in eq.reps:
-            x, y = ep.pairs[rep]
+            x, y = pairs[rep]
             image.append(qe.index[(quot.orbit_of[x], quot.orbit_of[y])])
         f = PosetMorphism(eq.poset, qe.poset, image)
         if len(set(image)) != qe.poset.n:
@@ -223,19 +238,106 @@ def action_on_edges(A, which="E"):
 
 
 @dataclass(frozen=True)
+class EdgeQuotient:
+    """E(P)/G, read off P without building E(P) (_edge_quotient).
+
+    Edges are numbered by their position in _edge_pairs(P), which is E(P)'s
+    element order.  orbit_of[i] is the orbit of edge i, orbits numbered by
+    ascending least edge; reps[o] is the least edge of orbit o, and poset's
+    element o is orbit o.
+    """
+
+    orbit_of: tuple  # edge position -> orbit
+    reps: tuple      # orbit -> least edge position
+    poset: GradedPoset
+
+
+def _edge_cover_lists(P, pairs, edge_at):
+    """The covers of E(P) from each edge in `pairs`, as parallel lists: the
+    k-th cover goes from pairs[lows[k]] up to the edge at position highs[k]
+    of _edge_pairs(P).  edge_at[x][y] is the position of the edge (x, y).
+
+    (x, y) is covered by (x2, y2) when x2 covers x, y2 covers y and (x2, y2)
+    is an edge, as in edges.edge_poset.
+    """
+    up = P.up
+    lows, highs = [], []
+    for i, (x, y) in enumerate(pairs):
+        up_y = up[y]
+        for x2 in up[x]:
+            position = edge_at[x2].get
+            for y2 in up_y:
+                j = position(y2)
+                if j is not None:
+                    lows.append(i)
+                    highs.append(j)
+    return lows, highs
+
+
+def _edge_quotient(A, pairs):
+    """E(P)/G for the action A on P, from P's covers `pairs` (_edge_pairs(P))
+    and the generator maps, without building E(P).
+
+    Orbits are those of the generators' maps g.(x, y) = (gx, gy) on edges,
+    and the quotient's covers are the orbits of E(P)'s covers.  Those are all
+    read off the representatives: G acts on E(P) by automorphisms, so for any
+    cover (e, e') of E(P) some g in G has g.e = rep(e), and (g.e, g.e') is a
+    cover from rep(e) whose upper end lies in the orbit of e'.  So
+    (orbit e, orbit e') is the image of a cover from a representative.
+
+    That G acts on E(P) by automorphisms follows from its acting on P by
+    automorphisms, which PosetAction checked.  It is checked again here: each
+    generator's edge map must be a bijection that keeps ranks and carries
+    E(P)'s whole cover relation into itself.  The relation comes from P.up,
+    without a GradedPoset for E(P); a failure raises InternalInconsistency.
+    """
+    P = A.poset
+    n = len(pairs)
+    edge_at = [{} for _ in range(P.n)]
+    for i, (x, y) in enumerate(pairs):
+        edge_at[x][y] = i
+    edge_maps = [tuple(edge_at[m[x]][m[y]] for x, y in pairs) for m in A.gen_maps]
+    ranks = [P.ranks[x] for x, _ in pairs]
+    lows, highs = _edge_cover_lists(P, pairs, edge_at)
+    codes = set(map(add, map(n.__mul__, lows), highs))  # cover (i, j) as i n + j
+    for g, m in zip(A.group.generators, edge_maps):
+        scaled = tuple(map(n.__mul__, m))
+        images = map(add, map(scaled.__getitem__, lows), map(m.__getitem__, highs))
+        if (
+            len(set(m)) != n
+            or list(map(ranks.__getitem__, m)) != ranks
+            or not all(map(codes.__contains__, images))
+        ):
+            raise InternalInconsistency(
+                f"edge map of {g.cycle_string()} is not an automorphism of E(P)"
+            )
+    orbit_of = tuple(orbit_labels(edge_maps, n))
+    reps = _least_of_each(orbit_of)
+    rep_pairs = [pairs[r] for r in reps]
+    # the covers from representatives, numbered by position in rep_pairs: orbit o
+    rep_lows, rep_highs = _edge_cover_lists(P, rep_pairs, edge_at)
+    covers = set(zip(rep_lows, map(orbit_of.__getitem__, rep_highs)))
+    labels = tuple(f"[({P.label(x)},{P.label(y)})]" for x, y in rep_pairs)
+    poset = GradedPoset((ranks[r] for r in reps), covers, labels)
+    return EdgeQuotient(orbit_of, reps, poset)
+
+
+@dataclass(frozen=True)
 class QMap:
     """The comparison morphism q: E(P)/G -> E(P/G), with its flags.
 
     q is always surjective; it is bijective precisely when the action is CCT,
     and even then need not be an isomorphism.  Each action builds its q once
     (PosetAction.q); the CCT tests, the self-duality witnesses and the CLI
-    records all read that one map and the quotients it carries.
+    records all read that one map and the quotients it carries.  E(P)/G is an
+    EdgeQuotient, whose positions are those of _edge_pairs(P): E(P) is not
+    built, so it carries no action on E(P).
     """
 
     morphism: PosetMorphism
     bijective: bool
     isomorphism: bool
-    edge_quotient: QuotientPoset  # E(P)/G
+    edge_quotient: EdgeQuotient   # E(P)/G
     quotient_edges: EdgePoset     # E(P/G)
     base_quotient: QuotientPoset  # P/G
 

@@ -260,7 +260,7 @@ def symmetric(n):
     if n < 0:
         raise InvalidParams("symmetric needs n >= 0")
     if n <= 1:
-        return trivial(max(n, 1))
+        return trivial(n)
     gens = [Permutation([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(Permutation(list(range(1, n)) + [0]))
@@ -384,6 +384,11 @@ def left_regular(table):
     c = a*b: so L_a L_b = L_{a*b}, which is associativity.  The identity
     permutation is some L_f, a left identity, so f = f*e = e is two-sided,
     and L_a^-1 = L_b gives a*b = b*a = e.
+
+    The rows join the generators one at a time, and a row that the group
+    generated so far already contains is skipped: skipping it changes no
+    group.  Each row that joins at least doubles the order, so at most
+    log2(order) + 1 groups are built.
     """
     n = len(table)
     rng = list(range(n))
@@ -392,7 +397,13 @@ def left_regular(table):
             raise NotAGroup("rows must be permutations of 0..n-1")
     if not any(all(table[a][e] == a for a in rng) for e in rng):
         raise NotAGroup("no column is the identity map")
-    out = PermGroup(n, [Permutation(row) for row in table])
+    gens = []
+    out = PermGroup(n, gens)
+    for row in table:
+        g = Permutation(row)
+        if g not in out:
+            gens.append(g)
+            out = PermGroup(n, gens)
     if out.order != n:
         raise NotAGroup(f"rows generate a group of order {out.order}, not {n}")
     return out

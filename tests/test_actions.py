@@ -3,7 +3,7 @@ import pytest
 import edgeposets as ep
 from edgeposets import actions
 from edgeposets.actions import CCT_METHODS, CCTResult, action_on_edges
-from edgeposets.catalog import ELEMENTARY_ABELIAN_2, small_group_tables
+from edgeposets.catalog import ELEMENTARY_ABELIAN_2, small_group_tables, tree8, tree10
 from edgeposets.errors import InternalInconsistency, InvalidParams
 from edgeposets.perms import Permutation
 
@@ -108,6 +108,41 @@ def coordinate_wreath_action(A, l):
             out.append(encode(moved))
         maps.append(tuple(out))
     return ep.wreath(A.group, ep.symmetric(l)), power, tuple(maps)
+
+
+def tree_action(T):
+    """tree_automorphisms(T) acting on the tree poset itself: g sends each
+    node to the node of the same rank above the image of its leaves."""
+    P = T.poset
+    below = [0] * P.n  # bit k: leaf T.leaves[k] lies under the node
+    for k, leaf in enumerate(T.leaves):
+        below[leaf] = 1 << k
+    for x in sorted(range(P.n), key=P.ranks.__getitem__):
+        for c in T.children[x]:
+            below[x] |= below[c]
+    node = {(below[x], P.ranks[x]): x for x in range(P.n)}
+    G = ep.tree_automorphisms(T)
+    maps = []
+    for g in G.generators:
+        images = [
+            sum(1 << g(k) for k in range(len(T.leaves)) if below[x] >> k & 1)
+            for x in range(P.n)
+        ]
+        maps.append([node[(images[x], P.ranks[x])] for x in range(P.n)])
+    return ep.PosetAction(G, P, maps)
+
+
+def assert_q_matches_rebuilt(A):
+    """The quotients A's q carries equal E(P)/G rebuilt from E(P) and the
+    action on it (ranks, covers, labels, orbit_of and reps) and E(P/G)
+    rebuilt from P/G."""
+    old = ep.quotient(action_on_edges(A, "E")[0])
+    rebuilt_qe = ep.edge_poset(ep.quotient(A).poset).poset
+    qm = ep.q_map(A)
+    new = qm.edge_quotient
+    assert (new.orbit_of, new.reps) == (old.orbit_of, old.reps)
+    for a, b in ((old.poset, new.poset), (rebuilt_qe, qm.quotient_edges.poset)):
+        assert (a.ranks, a.covers, a.labels) == (b.ranks, b.covers, b.labels)
 
 
 def orbit_counts_by_rank(A):
@@ -279,19 +314,52 @@ class TestQMap:
         assert ep.q_map(A) is ep.q_map(A)
 
     @pytest.mark.parametrize(
-        "family,n", [("cyclic", 3), ("cyclic", 6), ("dihedral", 5), ("symmetric", 4)]
+        "family,n",
+        [("cyclic", 3), ("cyclic", 6), ("dihedral", 5), ("symmetric", 4),
+         ("dihedral", 10), ("cyclic", 9)],
     )
     def test_matches_rebuilt_quotients(self, family, n):
-        # the quotients q carries equal E(P)/G and E(P/G) rebuilt independently
-        # on a fresh action, as the rank-counts CCT test once built them
-        fresh = ep.induced_bn_action(ep.named_group(family, n))
-        rebuilt = (
-            ep.quotient(action_on_edges(fresh, "E")[0]).poset,
-            ep.edge_poset(ep.quotient(fresh).poset).poset,
-        )
-        qm = ep.q_map(ep.induced_bn_action(ep.named_group(family, n)))
-        for old, new in zip(rebuilt, (qm.edge_quotient.poset, qm.quotient_edges.poset)):
-            assert (old.ranks, old.covers, old.labels) == (new.ranks, new.covers, new.labels)
+        assert_q_matches_rebuilt(ep.induced_bn_action(ep.named_group(family, n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_rebuilt_quotients_sweep_classes(self, n):
+        for G in ep.subgroup_sweep(n):
+            assert_q_matches_rebuilt(ep.induced_bn_action(G))
+
+    def test_matches_rebuilt_quotients_non_boolean(self):
+        cherry = tree_action(ep.tree_from_children({"children": [{}, {}]}))
+        for A in (
+            tree_action(tree8()),
+            tree_action(tree10()),
+            ep.product_action(tree_action(tree10()), ep.induced_bn_action(ep.cyclic(3))),
+            ep.product_action(ep.induced_bn_action(ep.symmetric(2)), tree_action(tree8())),
+            ep.wreath_action(cherry, 2),
+            ep.wreath_action(cherry, 3),
+        ):
+            assert not actions.is_boolean_poset(A.poset)
+            assert_q_matches_rebuilt(A)
+
+    def test_edge_map_check_rejects_a_non_injective_map(self):
+        # PosetAction rejects this map of B_2 ({1} and {2} both to {1}); set
+        # past that check, its edge map is not a bijection, a broken proved
+        # identity
+        A = ep.induced_bn_action(ep.symmetric(2))
+        A.gen_maps = ((0, 1, 1, 3),)
+        with pytest.raises(InternalInconsistency, match="not an automorphism of E"):
+            ep.q_map(A)
+
+    def test_edge_map_check_reads_the_whole_cover_relation(self, monkeypatch):
+        # one cover of E(B_3) dropped from the relation the check reads: the
+        # rotation carries another cover onto it, so the check fails
+        real = actions._edge_cover_lists
+
+        def drop_first(P, pairs, edge_at):
+            lows, highs = real(P, pairs, edge_at)
+            return lows[1:], highs[1:]
+
+        monkeypatch.setattr(actions, "_edge_cover_lists", drop_first)
+        with pytest.raises(InternalInconsistency, match="not an automorphism of E"):
+            ep.q_map(ep.induced_bn_action(ep.cyclic(3)))
 
     def test_surjectivity_rank_counts(self, rng):
         # |E(P)/G|_i >= |E(P/G)|_i pointwise, a consequence of surjectivity

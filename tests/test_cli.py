@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -52,6 +53,19 @@ class TestCheck:
             code, out, _ = run(capsys, "check", "bn:5", "--checks=scd", *view)
             assert code == 0
             assert json.loads(out)["checks"]["scd"]["chains"] == chains
+
+    def test_scd_edge_builds_each_edge_poset_once(self, capsys, monkeypatch):
+        built = []
+        for name in ("edge_poset", "h_poset"):
+            def spy(P, name=name, real=getattr(edges, name)):
+                built.append(name)
+                return real(P)
+
+            for module in (edges, cli):
+                monkeypatch.setattr(module, name, spy)
+        code, out, _ = run(capsys, "check", "bn:5", "--edge", "--checks=scd")
+        assert code == 0 and json.loads(out)["checks"]["scd"]["chains"] == 30
+        assert sorted(built) == ["edge_poset", "h_poset"]
 
     @pytest.mark.parametrize("view", ["--edge", "--hpos"])
     def test_scd_b0_edge_views_have_no_chains(self, capsys, view):
@@ -365,6 +379,16 @@ class TestQuotient:
         assert rec["rank_vector_quotient"] == [1, 3, 3, 1]
         assert rec["rank_vector_h_quotient"] == [3, 6, 3]
 
+    @pytest.mark.parametrize("argv", [[], ["--n", "0"]], ids=["no-n", "n0"])
+    def test_symmetric_0_is_b0(self, argv, capsys):
+        # S_0 acts on no points: the record is the trivial group's on B_0
+        code, out, _ = run(capsys, "quotient", "--group", "symmetric:0", *argv)
+        _, trivial_out, _ = run(capsys, "quotient", "--group", "trivial", "--n", "0")
+        assert code == 0
+        rec, expected = json.loads(out), json.loads(trivial_out)
+        del rec["seconds"], expected["seconds"]
+        assert rec == expected and rec["degree"] == 0
+
     def test_h_quotient_rank_vector_matches_built_h_quotient(self, tmp_path, capsys):
         # the oracle builds H(B_n), G's action on it and the quotient
         path = tmp_path / "gens.txt"
@@ -604,6 +628,22 @@ class TestSweep:
             lines.append(json.dumps(record) + "\n")
         assert lines == expected
 
+    def test_pinned_n7_all_classes(self):
+        # every record of tests/data/sweep_n7.jsonl, re-derived from its
+        # group string, which is the canonical generator string of the class
+        pinned = (DATA / "sweep_n7.jsonl").read_text().splitlines(keepends=True)
+        groups = []
+        for line in pinned:
+            gens = json.loads(line)["group"]
+            cycles = [] if gens == "()" else gens.split(";")
+            groups.append(ep.PermGroup(7, [ep.Permutation.from_cycles(c, 7) for c in cycles]))
+        lines = []
+        for record in cli.sweep_records(7, groups=groups):
+            d = dataclasses.asdict(record)
+            del d["seconds"]
+            lines.append(json.dumps(d) + "\n")
+        assert lines == pinned
+
 
 @pytest.mark.parametrize(
     "argv,value",
@@ -642,10 +682,12 @@ def test_oracle_threshold_flag_is_gone(argv, capsys):
 class TestActionRecord:
     def test_builds_each_edge_poset_once(self, monkeypatch, capsys):
         built = []
-        real = actions.edge_poset
-        monkeypatch.setattr(actions, "edge_poset", lambda P: built.append(P.n) or real(P))
+        real = edges.edge_poset
+        for module in (edges, actions, cli):
+            monkeypatch.setattr(module, "edge_poset", lambda P: built.append(P.n) or real(P))
         cli.action_record(ep.cyclic(4))
-        assert built == [16, 6]  # E(B_4), then E(B_4/C_4)
+        # only E(B_4/C_4): E(B_4)/C_4 is read off B_4's covers, E(B_4) never built
+        assert built == [6]
         # the quotient command reports H(B_4)/C_4's rank vector without building H
         h_built = []
         for module in (edges, actions, cli):
@@ -653,7 +695,7 @@ class TestActionRecord:
         built.clear()
         code, out, _ = run(capsys, "quotient", "--group", "cyclic:4", "--n", "4")
         assert code == 0 and json.loads(out)["rank_vector_h_quotient"] == [1, 3, 3, 1]
-        assert built == [16, 6] and h_built == []
+        assert built == [6] and h_built == []
 
     @pytest.mark.parametrize(
         "G,flows",

@@ -101,6 +101,11 @@ class TestNamedGroups:
     def test_symmetric4(self):
         assert ep.symmetric(4).order == 24
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_symmetric_below_2_is_trivial_of_degree_n(self, n):
+        G = ep.symmetric(n)
+        assert (G.degree, G.order, G.generators) == (n, 1, ())
+
     def test_elementary_abelian(self):
         G = ep.elementary_abelian_2(
             [Permutation.from_cycles("(1 2)", 4), Permutation.from_cycles("(3 4)", 4)]
@@ -181,6 +186,20 @@ class TestLeftRegular:
             for g in G.elements:
                 if not g.is_identity():
                     assert all(g(x) != x for x in range(G.degree)), name
+
+    def test_rows_inside_the_group_so_far_are_skipped(self):
+        # the kept rows generate the group of all the rows: same order and
+        # canonical generator string, from at most log2(n) generators
+        for name, table in small_group_tables().items():
+            G = ep.left_regular(table)
+            every_row = PermGroup(len(table), [Permutation(row) for row in table])
+            assert G.order == every_row.order, name
+            assert G.generator_string() == every_row.generator_string(), name
+            assert len(G.generators) <= len(table).bit_length() - 1, name
+
+    def test_z200(self):
+        G = ep.left_regular([[(a + b) % 200 for b in range(200)] for a in range(200)])
+        assert G.order == 200 and [g.images[0] for g in G.generators] == [1]
 
     def test_not_a_group(self):
         with pytest.raises(NotAGroup):

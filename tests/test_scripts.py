@@ -51,3 +51,15 @@ def test_benchmark_tracer_wraps_the_cli(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_test_module_collects():
+    # a module that fails to import is reported as a collection error, which
+    # a run with --continue-on-collection-errors would otherwise pass over
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", "tests"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "error" not in proc.stdout.splitlines()[-1].lower(), proc.stdout
