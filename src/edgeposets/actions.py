@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 from typing import NamedTuple
 
-from .edges import EdgePoset, _edge_pairs, edge_poset, h_poset
+from .edges import EdgePoset, _edge_covers, _edge_pairs, _edge_positions, edge_poset, h_poset
 from .errors import InternalInconsistency, InvalidMorphism, InvalidParams
 from .perms import (
     Permutation,
@@ -252,28 +251,6 @@ class EdgeQuotient:
     poset: GradedPoset
 
 
-def _edge_cover_lists(P, pairs, edge_at):
-    """The covers of E(P) from each edge in `pairs`, as parallel lists: the
-    k-th cover goes from pairs[lows[k]] up to the edge at position highs[k]
-    of _edge_pairs(P).  edge_at[x][y] is the position of the edge (x, y).
-
-    (x, y) is covered by (x2, y2) when x2 covers x, y2 covers y and (x2, y2)
-    is an edge, as in edges.edge_poset.
-    """
-    up = P.up
-    lows, highs = [], []
-    for i, (x, y) in enumerate(pairs):
-        up_y = up[y]
-        for x2 in up[x]:
-            position = edge_at[x2].get
-            for y2 in up_y:
-                j = position(y2)
-                if j is not None:
-                    lows.append(i)
-                    highs.append(j)
-    return lows, highs
-
-
 def _edge_quotient(A, pairs):
     """E(P)/G for the action A on P, from P's covers `pairs` (_edge_pairs(P))
     and the generator maps, without building E(P).
@@ -293,20 +270,16 @@ def _edge_quotient(A, pairs):
     """
     P = A.poset
     n = len(pairs)
-    edge_at = [{} for _ in range(P.n)]
-    for i, (x, y) in enumerate(pairs):
-        edge_at[x][y] = i
+    edge_at = _edge_positions(P, pairs)
     edge_maps = [tuple(edge_at[m[x]][m[y]] for x, y in pairs) for m in A.gen_maps]
     ranks = [P.ranks[x] for x, _ in pairs]
-    lows, highs = _edge_cover_lists(P, pairs, edge_at)
-    codes = set(map(add, map(n.__mul__, lows), highs))  # cover (i, j) as i n + j
+    covers = _edge_covers(P, pairs, edge_at, False)
+    relation = set(covers)
     for g, m in zip(A.group.generators, edge_maps):
-        scaled = tuple(map(n.__mul__, m))
-        images = map(add, map(scaled.__getitem__, lows), map(m.__getitem__, highs))
         if (
             len(set(m)) != n
-            or list(map(ranks.__getitem__, m)) != ranks
-            or not all(map(codes.__contains__, images))
+            or [ranks[i] for i in m] != ranks
+            or not relation.issuperset((m[i], m[j]) for i, j in covers)
         ):
             raise InternalInconsistency(
                 f"edge map of {g.cycle_string()} is not an automorphism of E(P)"
@@ -314,9 +287,8 @@ def _edge_quotient(A, pairs):
     orbit_of = tuple(orbit_labels(edge_maps, n))
     reps = _least_of_each(orbit_of)
     rep_pairs = [pairs[r] for r in reps]
-    # the covers from representatives, numbered by position in rep_pairs: orbit o
-    rep_lows, rep_highs = _edge_cover_lists(P, rep_pairs, edge_at)
-    covers = set(zip(rep_lows, map(orbit_of.__getitem__, rep_highs)))
+    # the covers from representatives; position o in rep_pairs is orbit o
+    covers = {(o, orbit_of[j]) for o, j in _edge_covers(P, rep_pairs, edge_at, False)}
     labels = tuple(f"[({P.label(x)},{P.label(y)})]" for x, y in rep_pairs)
     poset = GradedPoset((ranks[r] for r in reps), covers, labels)
     return EdgeQuotient(orbit_of, reps, poset)

@@ -43,14 +43,32 @@ def _edge_pairs(P):
     return tuple(sorted(P.covers, key=lambda c: (P.ranks[c[0]], c[0], c[1])))
 
 
-def _edge_covers(P, pairs, index, relaxed):
+def _edge_positions(P, pairs):
+    """edge_at[x][y] is the position in `pairs` of the edge (x, y)."""
+    edge_at = [{} for _ in range(P.n)]
+    for i, (x, y) in enumerate(pairs):
+        edge_at[x][y] = i
+    return edge_at
+
+
+def _edge_covers(P, pairs, edge_at, relaxed):
+    """The covers of E(P), or of H(P) when relaxed, from each edge in `pairs`:
+    (i, j) when pairs[i] is covered by the edge at position j of edge_at
+    (_edge_positions).
+
+    (x, y) is covered by (x2, y2) when x2 covers x, y2 covers y and (x2, y2)
+    is an edge; H(P) also asks x2 != y.
+    """
+    up = P.up
     covers = []
     for i, (x, y) in enumerate(pairs):
-        for x2 in P.up[x]:
+        up_y = up[y]
+        for x2 in up[x]:
             if relaxed and x2 == y:
                 continue
-            for y2 in P.up[y]:
-                j = index.get((x2, y2))
+            position = edge_at[x2].get
+            for y2 in up_y:
+                j = position(y2)
                 if j is not None:
                     covers.append((i, j))
     return covers
@@ -58,9 +76,8 @@ def _edge_covers(P, pairs, index, relaxed):
 
 def _build(P, relaxed):
     pairs = _edge_pairs(P)
-    index = {pair: i for i, pair in enumerate(pairs)}
     ranks = tuple(P.ranks[x] for x, _ in pairs)
-    covers = _edge_covers(P, pairs, index, relaxed)
+    covers = _edge_covers(P, pairs, _edge_positions(P, pairs), relaxed)
     labels = tuple(f"({P.label(x)},{P.label(y)})" for x, y in pairs)
     return EdgePoset(P, GradedPoset(ranks, covers, labels), pairs)
 
@@ -109,7 +126,10 @@ def naive_edge_relation_is_graded(P):
 
 def h_to_e_bijection(P):
     """The identity-on-elements bijective morphism H(P) -> E(P); both element
-    tables are _edge_pairs(P)."""
+    tables are _edge_pairs(P).
+
+    Kept as public API and a test oracle.  It builds H(P) and E(P) itself;
+    a caller that already holds both writes PosetMorphism(h, e, range(h.n))."""
     h = h_poset(P)
     return PosetMorphism(h.poset, edge_poset(P).poset, range(h.poset.n))
 

@@ -351,13 +351,12 @@ class TestQMap:
     def test_edge_map_check_reads_the_whole_cover_relation(self, monkeypatch):
         # one cover of E(B_3) dropped from the relation the check reads: the
         # rotation carries another cover onto it, so the check fails
-        real = actions._edge_cover_lists
+        real = actions._edge_covers
 
-        def drop_first(P, pairs, edge_at):
-            lows, highs = real(P, pairs, edge_at)
-            return lows[1:], highs[1:]
+        def drop_first(P, pairs, edge_at, relaxed):
+            return real(P, pairs, edge_at, relaxed)[1:]
 
-        monkeypatch.setattr(actions, "_edge_cover_lists", drop_first)
+        monkeypatch.setattr(actions, "_edge_covers", drop_first)
         with pytest.raises(InternalInconsistency, match="not an automorphism of E"):
             ep.q_map(ep.induced_bn_action(ep.cyclic(3)))
 
