@@ -3,6 +3,11 @@ actions on boolean algebras and on edge posets, quotient posets, the
 comparison map q from E(P)/G to E(P/G), the four equivalent common cover
 transitivity tests, and product/wreath constructions of actions.
 
+A PosetAction is an action by automorphisms by its type: PosetAction checks
+maps given from outside once, and the package's own constructions store maps
+of a homomorphism G -> Aut(P) unchecked, with the proof in each docstring.
+Nothing downstream checks the action again.
+
 q reads E(P)/G off P's covers and the generator maps (_edge_quotient): the
 covers of E(P)/G come from the orbit representatives alone, so E(P) itself
 is never built.  action_on_edges still builds E(P) or H(P) with the induced
@@ -59,15 +64,14 @@ def _least_of_each(orbit_of):
 
 
 class PosetAction:
-    """A PermGroup acting on a GradedPoset.
+    """A PermGroup acting on a GradedPoset by automorphisms.
 
     The action is stored as one element-permutation per group generator.
-    Each generator map is checked as a bijective PosetMorphism of the poset
-    onto itself, which makes it an automorphism (see
-    PosetMorphism.is_isomorphism); a failure raises InvalidParams naming the
-    generator.  That the maps respect the group's relations is checked on
-    demand, either by check_relations (a Schreier–Sims order, no element
-    table) or by building element_maps, the map of every group element.
+    Maps given from outside are checked here: each must be a bijective
+    PosetMorphism of the poset onto itself, so an automorphism (see
+    PosetMorphism.is_isomorphism), and diagonal_order must be |G|, so they
+    respect the group's relations; a failure raises InvalidParams.  The
+    package's own constructions prove their maps and go through _trusted.
     """
 
     def __init__(self, group, poset, gen_maps):
@@ -81,9 +85,16 @@ class PosetAction:
                 raise InvalidParams(f"map for {g.cycle_string()}: {exc}") from exc
             if not bijective:
                 raise InvalidParams(f"map for {g.cycle_string()} is not a bijection")
-        self.group = group
-        self.poset = poset
-        self.gen_maps = gen_maps
+        self.group, self.poset, self.gen_maps = group, poset, gen_maps
+        if self.diagonal_order != group.order:
+            raise InvalidParams("generator maps violate a group relation")
+
+    @classmethod
+    def _trusted(cls, group, poset, gen_maps):
+        """Store maps proved to come from a homomorphism G -> Aut(P), unchecked."""
+        A = cls.__new__(cls)
+        A.group, A.poset, A.gen_maps = group, poset, tuple(tuple(m) for m in gen_maps)
+        return A
 
     def __repr__(self):
         return f"PosetAction(order={self.group.order}, poset={self.poset!r})"
@@ -103,17 +114,12 @@ class PosetAction:
         """dict: group element -> element permutation (tuple), whole group.
 
         The diagonal group is closed by _tuple_close and split into its two
-        factors; it is the graph of an action exactly when its order is |G|
-        (see diagonal_order).  The closure stops at |G| + 1 elements, so maps
-        that violate a relation cost no more than a valid action.  Raises
-        GroupTooLarge, before closing anything, for an order above the
-        enumeration cap."""
-        order = self.group.order
-        check_enumerable(order)
+        factors; it is the graph of the action, so it has |G| elements (see
+        diagonal_order).  Raises GroupTooLarge, before closing anything, for
+        an order above the enumeration cap."""
+        check_enumerable(self.group.order)
         d = self.group.degree
-        closure = _tuple_close(self.diagonal_generators, d + self.poset.n, limit=order)
-        if len(closure) != order:
-            raise InternalInconsistency("generator maps violate a group relation")
+        closure = _tuple_close(self.diagonal_generators, d + self.poset.n)
         return {Permutation(t[:d]): tuple(y - d for y in t[d:]) for t in closure}
 
     @cached_property
@@ -127,12 +133,6 @@ class PosetAction:
         of G, faithful or not.
         """
         return schreier_sims_order(self.diagonal_generators, self.group.degree + self.poset.n)
-
-    def check_relations(self):
-        """Raise InternalInconsistency unless the generator maps define an
-        action of the group; no group element's map is built."""
-        if self.diagonal_order != self.group.order:
-            raise InternalInconsistency("generator maps violate a group relation")
 
     @cached_property
     def orbit_of(self):
@@ -198,7 +198,9 @@ def induced_bn_action(G):
     """Induced action of a degree-n permutation group on B_n: g.x = {g.i : i in x}.
 
     Each map is built by subset recursion: once m holds g on the subsets of
-    {0..i-1}, the subsets x + 2^i that add point i map to m[x] | 2^g(i)."""
+    {0..i-1}, the subsets x + 2^i that add point i map to m[x] | 2^g(i).
+    An action by automorphisms: x -> g.x keeps inclusion both ways, and
+    (gh).x = g.(h.x)."""
     maps = []
     for g in G.generators:
         m = [0]
@@ -206,7 +208,7 @@ def induced_bn_action(G):
             bit = 1 << g(i)
             m += [y | bit for y in m]
         maps.append(m)
-    return PosetAction(G, boolean_algebra(G.degree), maps)
+    return PosetAction._trusted(G, boolean_algebra(G.degree), maps)
 
 
 def is_boolean_poset(P):
@@ -223,7 +225,10 @@ def is_boolean_poset(P):
 
 
 def action_on_edges(A, which="E"):
-    """Same group acting pairwise on E(P) or H(P): g.(x, y) = (gx, gy)."""
+    """Same group acting pairwise on E(P) or H(P): g.(x, y) = (gx, gy).
+
+    An action by automorphisms: (x, y) ⋖ (x', y') means x ⋖ x' and y ⋖ y'
+    (and x' != y in H(P)), which an automorphism of P keeps both ways."""
     if which == "E":
         ep = edge_poset(A.poset)
     elif which == "H":
@@ -233,7 +238,7 @@ def action_on_edges(A, which="E"):
     maps = []
     for m in A.gen_maps:
         maps.append(tuple(ep.index[(m[x], m[y])] for x, y in ep.pairs))
-    return PosetAction(A.group, ep.poset, maps), ep
+    return PosetAction._trusted(A.group, ep.poset, maps), ep
 
 
 @dataclass(frozen=True)
@@ -262,29 +267,15 @@ def _edge_quotient(A, pairs):
     cover from rep(e) whose upper end lies in the orbit of e'.  So
     (orbit e, orbit e') is the image of a cover from a representative.
 
-    That G acts on E(P) by automorphisms follows from its acting on P by
-    automorphisms, which PosetAction checked.  It is checked again here: each
-    generator's edge map must be a bijection that keeps ranks and carries
-    E(P)'s whole cover relation into itself.  The relation comes from P.up,
-    without a GradedPoset for E(P); a failure raises InternalInconsistency.
+    G acts on E(P) by automorphisms because a PosetAction acts on P by
+    automorphisms (the proof is action_on_edges'), so E(P)'s cover relation
+    is never listed.
     """
     P = A.poset
-    n = len(pairs)
     edge_at = _edge_positions(P, pairs)
     edge_maps = [tuple(edge_at[m[x]][m[y]] for x, y in pairs) for m in A.gen_maps]
     ranks = [P.ranks[x] for x, _ in pairs]
-    covers = _edge_covers(P, pairs, edge_at, False)
-    relation = set(covers)
-    for g, m in zip(A.group.generators, edge_maps):
-        if (
-            len(set(m)) != n
-            or [ranks[i] for i in m] != ranks
-            or not relation.issuperset((m[i], m[j]) for i, j in covers)
-        ):
-            raise InternalInconsistency(
-                f"edge map of {g.cycle_string()} is not an automorphism of E(P)"
-            )
-    orbit_of = tuple(orbit_labels(edge_maps, n))
+    orbit_of = tuple(orbit_labels(edge_maps, len(pairs)))
     reps = _least_of_each(orbit_of)
     rep_pairs = [pairs[r] for r in reps]
     # the covers from representatives; position o in rep_pairs is orbit o
@@ -339,11 +330,10 @@ def is_cct(A, method="direct"):
     q-bijective: q: E(P)/G -> E(P/G) is a bijection.
     rank-counts: E(P)/G and E(P/G) have equal rank vectors.
 
-    direct and dual first check that the generator maps respect the group's
-    relations (PosetAction.check_relations), then test only orbit
-    representatives, with Stab(z)'s orbits on the covers of z taken from
-    Schreier generators (see _cct_scan); no map of any other group element
-    is built.
+    direct and dual test only orbit representatives, with Stab(z)'s orbits
+    on the covers of z taken from Schreier generators (see _cct_scan), which
+    is sound because a PosetAction is an action of G by construction; no
+    other group element's map is built.
     """
     if method == "direct":
         return _cct_scan(A, upward=False)
@@ -367,7 +357,6 @@ def _cct_scan(A, upward):
     orbit, and scanning the ascending orbit representatives A.orbit_reps finds
     the same first failing z, and so the same witness, as scanning every z.
     """
-    A.check_relations()
     P = A.poset
     orbit_of = A.orbit_of
     neighbors = P.up if upward else P.down
@@ -419,7 +408,6 @@ def _stabilizer_classes(A, z, adjacent):
 def check_cct_triple(A, x, y, z):
     """True iff the specific triple satisfies the common-cover condition:
     some stabilizer element of z carries x to y."""
-    A.check_relations()
     down = A.poset.down
     if x not in down[z] or y not in down[z]:
         raise InvalidParams("x and y must be lower covers of z")
@@ -433,7 +421,10 @@ def check_cct_triple(A, x, y, z):
 
 
 def product_action(A, B):
-    """(G x H) acting coordinatewise on the cartesian product poset."""
+    """(G x H) acting coordinatewise on the cartesian product poset.
+
+    An action by automorphisms: (g, h) -> m_g x m_h, over direct_product's
+    generators (G's, then H's), is one because A and B are."""
     G = direct_product(A.group, B.group)
     P = combine(A.poset, B.poset, "cartesian-product")
     qn = B.poset.n
@@ -442,7 +433,7 @@ def product_action(A, B):
         maps.append(tuple(m[i] * qn + j for i in range(A.poset.n) for j in range(qn)))
     for m in B.gen_maps:
         maps.append(tuple(i * qn + m[j] for i in range(A.poset.n) for j in range(qn)))
-    return PosetAction(G, P, maps)
+    return PosetAction._trusted(G, P, maps)
 
 
 def wreath_action(A, l):
@@ -451,7 +442,10 @@ def wreath_action(A, l):
 
     l - 1 iterated product_actions give the poset, with (c_0, ..., c_{l-1}) at
     index sum c_b n^(l-1-b), n = |P|, and the block copies in wreath(G, S_l)'s
-    generator order.  An S_l generator h sends it to sum c_b n^(l-1-h(b))."""
+    generator order.  An S_l generator h sends it to sum c_b n^(l-1-h(b)).
+    An action by automorphisms: these are the generators' maps in G wr S_l's
+    action on P^l, in which k in G's block b acts on coordinate b and h in
+    S_l moves coordinate b to h(b), as each moves blocks of points."""
     if l < 1:
         raise InvalidParams("need l >= 1")
     S = symmetric(l)
@@ -466,7 +460,7 @@ def wreath_action(A, l):
             place = n ** (l - 1 - h(b))
             m = [y + c * place for y in m for c in range(n)]
         maps.append(m)
-    return PosetAction(wreath(A.group, S), power.poset, maps)
+    return PosetAction._trusted(wreath(A.group, S), power.poset, maps)
 
 
 # -- complement self-duality ------------------------------------------------------

@@ -161,9 +161,10 @@ def _pad_group(G, n):
 # -- check ------------------------------------------------------------------
 
 
-def run_checks(P, source, view, checks):
+def run_checks(P, source, view, checks, edges):
     """Run the requested checks on P, the poset loaded from source and view;
-    returns (report, all_pass)."""
+    in the edge and h views, edges is the EdgePoset whose poset P is (None in
+    the base view).  Returns (report, all_pass)."""
     report = {
         "source": source,
         "view": view,
@@ -191,7 +192,7 @@ def run_checks(P, source, view, checks):
         elif name == "self-dual":
             entry = {"passed": is_self_dual(P)}
         elif name == "scd":
-            entry = {"passed": True, "chains": _scd_chain_count(P, source, view)}
+            entry = {"passed": True, "chains": _scd_chain_count(source, view, edges)}
         else:
             raise InvalidInput(f"unknown check {name!r}; pick from {CHECK_NAMES}")
         report["checks"][name] = entry
@@ -200,20 +201,19 @@ def run_checks(P, source, view, checks):
     return report, ok
 
 
-def _scd_chain_count(P, source, view):
-    """Chains in a symmetric chain decomposition of P, the poset that source
-    bn:N gives in view.  For E(B_N), H(B_N)'s decomposition is transported
-    onto P by the identity on elements, a bijective morphism H(B_N) -> E(B_N)
-    (edges.h_to_e_bijection), so each edge poset is built once."""
+def _scd_chain_count(source, view, edges):
+    """Chains in an SCD of the poset that source bn:N gives in view (edges, in
+    the edge and h views).  The h view's own H(B_N) is decomposed; E(B_N) gets
+    it by the identity on elements, a bijective morphism H(B_N) -> E(B_N)
+    (edges.h_to_e_bijection).  Each poset is built once."""
     if not source.startswith("bn:"):
         raise InvalidInput("scd check supports bn:N sources only")
-    n = int(source[3:])
     if view == "base":
-        return len(scd_boolean(n).chains)
-    decomposition = scd_h_boolean(n)
+        return len(scd_boolean(int(source[3:])).chains)
+    decomposition = scd_h_boolean(edges if view == "h" else h_poset(edges.source))
     if view == "h":
         return len(decomposition.chains)
-    identity = PosetMorphism(decomposition.host, P, range(P.n))
+    identity = PosetMorphism(decomposition.host, edges.poset, range(edges.poset.n))
     return len(scd_transport(decomposition, identity).chains)
 
 
@@ -416,10 +416,11 @@ def cmd_check(args):
     for c in checks:
         if c not in CHECK_NAMES:
             raise InvalidInput(f"unknown check {c!r}; pick from {CHECK_NAMES}")
-    P = load_poset_source(args.source)
+    P, edges = load_poset_source(args.source), None
     if view != "base":
-        P = (edge_poset if view == "edge" else h_poset)(P).poset
-    report, ok = run_checks(P, args.source, view, checks)
+        edges = (edge_poset if view == "edge" else h_poset)(P)
+        P = edges.poset
+    report, ok = run_checks(P, args.source, view, checks, edges)
     if args.format == "dot":
         _emit(poset_to_dot(P), args.out)
     elif args.format == "csv":

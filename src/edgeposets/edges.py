@@ -138,15 +138,16 @@ def _drop_bit(mask, i):
     return (mask & ((1 << i) - 1)) | ((mask >> (i + 1)) << i)
 
 
-def h_bn_decomposition(n):
-    """Isomorphism witness from H(B_n) to n disjoint copies of B_{n-1}.
+def h_bn_decomposition(hb):
+    """Isomorphism witness from H(B_n) to n disjoint copies of B_{n-1}, for
+    hb = h_poset(boolean_algebra(n)).
 
     The edge (x, x | {i}) lands in copy i at the element obtained from x by
     deleting coordinate i and compacting the remaining points.  H(B_0) is
     empty, the union of no copies.  The witness is verified as an isomorphism
     before being returned.
     """
-    hb = h_poset(boolean_algebra(n))
+    n = hb.source.n.bit_length() - 1
     half = (1 << n) >> 1
     target = disjoint_union([boolean_algebra(n - 1) for _ in range(n)])
     image = []

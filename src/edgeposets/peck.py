@@ -530,10 +530,12 @@ def scd_transport(D, f):
     return ChainDecomposition(f.target, tuple(tuple(map(f, c)) for c in D.chains))
 
 
-def scd_h_boolean(n):
-    """SCD of H(B_n), assembled from per-component copies of the B_{n-1} SCD
-    pulled back through the explicit component decomposition."""
-    witness = h_bn_decomposition(n)
+def scd_h_boolean(hb):
+    """SCD of H(B_n), given as hb = h_poset(boolean_algebra(n)), assembled from
+    per-component copies of the B_{n-1} SCD pulled back through the explicit
+    component decomposition."""
+    witness = h_bn_decomposition(hb)
+    n = hb.source.n.bit_length() - 1
     inverse = [0] * witness.target.n
     for i, j in enumerate(witness.image):
         inverse[j] = i

@@ -94,7 +94,7 @@ def test_02_fig2_reproduction():
 def test_03_h_decomposition():
     ok = True
     for n in range(1, 8):
-        f = ep.h_bn_decomposition(n)
+        f = ep.h_bn_decomposition(ep.h_poset(ep.boolean_algebra(n)))
         half = 1 << (n - 1)
         ok = ok and f.is_isomorphism() and f.target.n == n * half
         vec = ep.boolean_algebra(n - 1).rank_vector
@@ -232,7 +232,7 @@ def test_11_symmetric_chain_decompositions():
     ok = True
     for n in range(1, 8):
         ok = ok and ep.scd_boolean(n).host.n == 1 << n
-        D = ep.scd_h_boolean(n)
+        D = ep.scd_h_boolean(ep.h_poset(ep.boolean_algebra(n)))
         ok = ok and D.host.n == n * (1 << (n - 1))
         T = ep.scd_transport(D, ep.h_to_e_bijection(ep.boolean_algebra(n)))
         ok = ok and len(T.chains) == len(D.chains)

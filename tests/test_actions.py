@@ -4,7 +4,7 @@ import edgeposets as ep
 from edgeposets import actions
 from edgeposets.actions import CCT_METHODS, CCTResult, action_on_edges
 from edgeposets.catalog import ELEMENTARY_ABELIAN_2, small_group_tables, tree8, tree10
-from edgeposets.errors import InternalInconsistency, InvalidParams
+from edgeposets.errors import InvalidParams
 from edgeposets.perms import Permutation
 
 
@@ -175,55 +175,72 @@ class TestPosetAction:
         # C_2 generator sent to a 4-cycle on an antichain: squares to a
         # double transposition, not the identity
         G = ep.PermGroup(2, [Permutation.from_cycles("(1 2)", 2)])
-        A = ep.PosetAction(G, ep.antichain(4), [(1, 2, 3, 0)])
-        with pytest.raises(InternalInconsistency):
-            A.element_maps
+        with pytest.raises(InvalidParams, match="violate a group relation"):
+            ep.PosetAction(G, ep.antichain(4), [(1, 2, 3, 0)])
 
     def test_element_maps_cover_group(self):
         A = ep.induced_bn_action(ep.dihedral(4))
         assert len(A.element_maps) == 8
 
-    def test_relation_violation_stops_closure_past_group_order(self, monkeypatch):
+    def test_relation_violation_rejected_without_closure(self, monkeypatch):
         # S_3 with the transposition as a transposition and the 3-cycle as an
         # 8-cycle of an antichain: the diagonal group is 6 * 8! = 241,920
-        # tuples, but the closure stops once it exceeds |G|
-        sizes = []
-        real = actions._tuple_close
+        # tuples, and its Schreier-Sims order rejects the maps unenumerated
+        def refuse(*args, **kwargs):
+            raise AssertionError("_tuple_close called on hand-given maps")
 
-        def close(*args, **kwargs):
-            closure = real(*args, **kwargs)
-            sizes.append(len(closure))
-            return closure
-
-        monkeypatch.setattr(actions, "_tuple_close", close)
+        monkeypatch.setattr(actions, "_tuple_close", refuse)
         G = ep.symmetric(3)
         swap = (1, 0, 2, 3, 4, 5, 6, 7)
         cycle = (1, 2, 3, 4, 5, 6, 7, 0)
         maps = [swap if g.images == (1, 0, 2) else cycle for g in G.generators]
-        A = ep.PosetAction(G, ep.antichain(8), maps)
-        with pytest.raises(InternalInconsistency):
-            A.element_maps
-        assert len(sizes) == 1 and sizes[0] <= G.order + 1
+        with pytest.raises(InvalidParams, match="violate a group relation"):
+            ep.PosetAction(G, ep.antichain(8), maps)
 
     def test_relation_violation_caught_by_cct(self):
-        G = ep.PermGroup(2, [Permutation.from_cycles("(1 2)", 2)])
-        A = ep.PosetAction(G, ep.antichain(4), [(1, 2, 3, 0)])
-        assert A.diagonal_order == 4
-        for method in ("direct", "dual"):
-            with pytest.raises(InternalInconsistency):
-                ep.is_cct(A, method)
-        with pytest.raises(InternalInconsistency):
-            ep.check_cct_triple(A, 0, 1, 2)
+        # both generators of S_3 as one transposition of an antichain: each
+        # map is an involutive automorphism, but the 3-cycle's cube is not the
+        # identity.  The CCT scans rest on Schreier's lemma for an action of
+        # G, so such maps are bad input caught on construction, never a
+        # finding or an internal inconsistency of a scan
+        G = ep.symmetric(3)
+        with pytest.raises(InvalidParams, match="violate a group relation"):
+            ep.PosetAction(G, ep.antichain(3), [(1, 0, 2)] * len(G.generators))
 
     def test_non_faithful_action_passes(self):
         # the sign of S_3 acting on a 2-element antichain
         G = ep.symmetric(3)
         maps = [(1, 0) if g.images == (1, 0, 2) else (0, 1) for g in G.generators]
         A = ep.PosetAction(G, ep.antichain(2), maps)
-        A.check_relations()
         assert A.diagonal_order == 6
         assert ep.is_cct(A, "direct").ok and ep.is_cct(A, "dual").ok
         assert len(A.element_maps) == 6
+
+    def test_package_built_actions_pass_the_validating_constructor(self):
+        # the package's constructions store their maps unchecked, as maps of
+        # a homomorphism G -> Aut(P); the constructor that checks hand-given
+        # maps must accept every one of them
+        swept = [ep.induced_bn_action(G) for n in range(1, 6) for G in ep.subgroup_sweep(n)]
+        groups = [ep.named_group(f, k) for f, ks in (
+            ("trivial", range(4)), ("symmetric", range(1, 7)), ("cyclic", range(1, 9)),
+            ("dihedral", range(3, 9)), ("hyperoctahedral", range(1, 5)),
+        ) for k in ks]
+        groups += [ep.left_regular(t) for t in small_group_tables().values()]
+        groups += [ep.tree_automorphisms(tree8()), ep.tree_automorphisms(tree10())]
+        c3, d4, s2 = map(ep.induced_bn_action, (ep.cyclic(3), ep.dihedral(4), ep.symmetric(2)))
+        cherry = tree_action(ep.tree_from_children({"children": [{}, {}]}))
+        products = [
+            ep.product_action(c3, d4),
+            ep.product_action(s2, c3),
+            ep.product_action(tree_action(tree10()), c3),
+            ep.wreath_action(c3, 2),
+            ep.wreath_action(s2, 3),
+            ep.wreath_action(cherry, 3),
+        ]
+        on_edges = [action_on_edges(A, which)[0] for A in swept + products for which in "EH"]
+        for A in swept + [ep.induced_bn_action(G) for G in groups] + products + on_edges:
+            B = ep.PosetAction(A.group, A.poset, A.gen_maps)
+            assert B.gen_maps == A.gen_maps and B.diagonal_order == A.group.order
 
     @pytest.mark.parametrize(
         "family,n",
@@ -338,27 +355,6 @@ class TestQMap:
         ):
             assert not actions.is_boolean_poset(A.poset)
             assert_q_matches_rebuilt(A)
-
-    def test_edge_map_check_rejects_a_non_injective_map(self):
-        # PosetAction rejects this map of B_2 ({1} and {2} both to {1}); set
-        # past that check, its edge map is not a bijection, a broken proved
-        # identity
-        A = ep.induced_bn_action(ep.symmetric(2))
-        A.gen_maps = ((0, 1, 1, 3),)
-        with pytest.raises(InternalInconsistency, match="not an automorphism of E"):
-            ep.q_map(A)
-
-    def test_edge_map_check_reads_the_whole_cover_relation(self, monkeypatch):
-        # one cover of E(B_3) dropped from the relation the check reads: the
-        # rotation carries another cover onto it, so the check fails
-        real = actions._edge_covers
-
-        def drop_first(P, pairs, edge_at, relaxed):
-            return real(P, pairs, edge_at, relaxed)[1:]
-
-        monkeypatch.setattr(actions, "_edge_covers", drop_first)
-        with pytest.raises(InternalInconsistency, match="not an automorphism of E"):
-            ep.q_map(ep.induced_bn_action(ep.cyclic(3)))
 
     def test_surjectivity_rank_counts(self, rng):
         # |E(P)/G|_i >= |E(P/G)|_i pointwise, a consequence of surjectivity

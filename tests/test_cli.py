@@ -347,6 +347,18 @@ class TestExitCodeFuzz:
 
 
 class TestQuotient:
+    def test_matches_recorded_hyperoctahedral_b12(self, tmp_path):
+        # tests/data/quotient_hyperoctahedral6_n12.json: `quotient --group
+        # hyperoctahedral:6 --n 12` recorded before actions stopped
+        # re-checking their own maps, with `seconds` removed
+        target = tmp_path / "record.json"
+        argv = ["quotient", "--group", "hyperoctahedral:6", "--n", "12", "--out", str(target)]
+        assert cli.main(argv) == 0
+        record = json.loads(target.read_text())
+        del record["seconds"]
+        pinned = DATA / "quotient_hyperoctahedral6_n12.json"
+        assert (json.dumps(record, indent=2) + "\n").encode() == pinned.read_bytes()
+
     def test_consistency_guard_exit_3(self, capsys, monkeypatch):
         # S_3 on B_3 is CCT, so a non-Peck E(B_3/S_3) contradicts the theorem
         monkeypatch.setattr(cli, "peck_report", lambda P: {"peck": False})

@@ -169,20 +169,20 @@ class TestHToE:
 
 class TestHBnDecomposition:
     def test_n0_empty(self):
-        f = ep.h_bn_decomposition(0)
+        f = ep.h_bn_decomposition(ep.h_poset(ep.boolean_algebra(0)))
         assert f.source.n == 0 and f.target.n == 0 and f.is_isomorphism()
 
     def test_n1_single_point(self):
-        f = ep.h_bn_decomposition(1)
+        f = ep.h_bn_decomposition(ep.h_poset(ep.boolean_algebra(1)))
         assert f.source.n == 1 and f.target.n == 1
 
     def test_n3_components(self):
-        f = ep.h_bn_decomposition(3)
+        f = ep.h_bn_decomposition(ep.h_poset(ep.boolean_algebra(3)))
         assert f.is_isomorphism()
         assert f.target.rank_vector == (3, 6, 3)
 
     def test_n5_component_rank_vectors(self):
-        f = ep.h_bn_decomposition(5)
+        f = ep.h_bn_decomposition(ep.h_poset(ep.boolean_algebra(5)))
         assert f.is_isomorphism()
         # each block of the target is one B_4
         half = 1 << 4

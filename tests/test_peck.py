@@ -433,12 +433,12 @@ class TestSCD:
             ep.scd_transport(D, ep.PosetMorphism.identity(loose))
 
     def test_h_b0_has_no_chains(self):
-        D = ep.scd_h_boolean(0)
+        D = ep.scd_h_boolean(ep.h_poset(ep.boolean_algebra(0)))
         assert D.host.n == 0 and D.chains == ()
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_h_to_e_transport(self, n):
-        D = ep.scd_h_boolean(n)
+        D = ep.scd_h_boolean(ep.h_poset(ep.boolean_algebra(n)))
         f = ep.h_to_e_bijection(ep.boolean_algebra(n))
         T = ep.scd_transport(D, f)
         assert len(T.chains) == len(D.chains)

@@ -39,6 +39,9 @@ def test_benchmark_tracer_wraps_the_cli(tmp_path):
         # quotient records read H(B_n)/G's rank vector off E(B_n)/G's
         assert summary["edges.h_poset.calls"] == 0
         assert summary["peck.lefschetz_power_rank.calls"] > 0
+        # the scd check decomposes the H(B_3) that the view built
+        assert cli.main(["check", "bn:3", "--hpos", "--checks=scd", "--out", out + "/h.json"]) == 0
+        assert tracer.summary()["edges.h_poset.calls"] == 1
         """
     )
     env = dict(
