@@ -356,6 +356,31 @@ class TestQMap:
             assert not actions.is_boolean_poset(A.poset)
             assert_q_matches_rebuilt(A)
 
+    def test_edge_map_check_rejects_a_non_injective_map(self):
+        # a map of B_2 sending {1} and {2} both to {1} is rejected where it
+        # enters, so no action carries it to _edge_quotient; its edge map,
+        # g.(x, y) = (gx, gy), is not a bijection of E(B_2) either, and the
+        # validating constructor rejects it there too
+        G = ep.symmetric(2)
+        bad = (0, 1, 1, 3)
+        with pytest.raises(InvalidParams, match="not a bijection"):
+            ep.PosetAction(G, ep.boolean_algebra(2), [bad])
+        E = ep.edge_poset(ep.boolean_algebra(2))
+        edge_map = tuple(E.index[(bad[x], bad[y])] for x, y in E.pairs)
+        with pytest.raises(InvalidParams, match="not a bijection"):
+            ep.PosetAction(G, E.poset, [edge_map])
+
+    def test_edge_map_check_reads_the_whole_cover_relation(self):
+        # the rotation's edge maps are automorphisms of E(B_3), but not of
+        # E(B_3) with one cover dropped: the rotation carries another cover
+        # onto it, and the validating constructor reads every cover
+        A, E = action_on_edges(ep.induced_bn_action(ep.cyclic(3)), "E")
+        ep.PosetAction(A.group, E.poset, A.gen_maps)
+        P = E.poset
+        dropped = ep.GradedPoset(P.ranks, P.covers[1:])
+        with pytest.raises(InvalidParams, match="maps to non-cover"):
+            ep.PosetAction(A.group, dropped, A.gen_maps)
+
     def test_surjectivity_rank_counts(self, rng):
         # |E(P)/G|_i >= |E(P/G)|_i pointwise, a consequence of surjectivity
         for G in (ep.cyclic(4), ep.dihedral(4), ep.symmetric(4), ep.cyclic(6)):
