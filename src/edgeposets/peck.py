@@ -1,19 +1,21 @@
 """Exact verification of rank symmetry/unimodality, strong Spernerity, Peck
 and unitary Peck properties, plus symmetric chain decompositions.
 
-No floating point anywhere.  A Lefschetz power U^{n-2i} of the all-ones
-order-raising map is built entry by entry as a count of saturated chains from
-rank i to rank n-i, without multiplying cover matrices.  Matrix ranks are
-computed modulo a word-sized prime p and certified over the rationals from
-both sides: rank_p <= rank_Q always (a nonzero minor mod p is a nonzero
-integer minor), and each rank drop is confirmed by integer kernel vectors,
-rationally reconstructed from the mod-p kernel and checked with exact integer
-arithmetic.  When a certificate cannot be found, fraction-free Bareiss
-elimination decides.  The k-antichain numbers d_k come from Greene-Kleitman
-duality: one minimum-cost flow on the split-element cover network, where
-bypass arcs let chains pass elements they do not count, gives every d_k, and
-posets of at most DEFAULT_ORACLE_THRESHOLD (12) elements are cross-checked
-against an exhaustive search.
+No floating point anywhere.  The rank of a Lefschetz power U^{n-2i} of the
+all-ones order-raising map, from rank i to rank n-i, comes from saturated
+chain counts taken modulo a word-sized prime p: P is walked upward from rank
+i, each element holding one packed int with a slot per rank-i element, so no
+integer power is built.  The rank is certified over the rationals from both
+sides: rank_p <= rank_Q always (a nonzero minor mod p is a nonzero integer
+minor), and each rank drop is confirmed by integer kernel vectors, rationally
+reconstructed from the mod-p kernel and pushed up through the covers with
+exact integer arithmetic.  When a certificate cannot be found, the dense
+integer power is built and fraction-free Bareiss elimination decides.  The
+k-antichain numbers d_k come from Greene-Kleitman duality: one minimum-cost
+flow on the split-element cover network, where bypass arcs let chains pass
+elements they do not count, gives every d_k, and posets of at most
+DEFAULT_ORACLE_THRESHOLD (12) elements are cross-checked against an
+exhaustive search.
 
 peck_report is the one place that decides Peck.  The certified Lefschetz
 ranks of the all-ones order-raising map decide first; the flow runs only when
@@ -76,59 +78,20 @@ class ExactMatrix:
         is then at most cols - (cols - r_p) = r_p.  If a reconstruction or a
         check fails (as one must when p divides every nonzero minor of the
         largest size, so that r_p < rank), the rank comes from bareiss_rank.
+        Lefschetz powers take this route only as lefschetz_power_rank's
+        fallback.
         """
         if max(self.rows, self.cols) >= _MAX_TERMS:
             return self.bareiss_rank()
-        pivots = self._echelon_mod_p()
+        p = RANK_PRIME
+        pivots = _echelon_mod_p([_pack([x % p for x in row]) for row in self.entries], self.cols)
         if len(pivots) == min(self.rows, self.cols):
             return len(pivots)
-        for v in self._kernel_mod_p(pivots):
+        for v in _kernel_mod_p(pivots, self.cols):
             w = _integer_vector(v)
             if w is None or any(sum(row[j] * x for j, x in w) for row in self.entries):
                 return self.bareiss_rank()
         return len(pivots)
-
-    def _echelon_mod_p(self):
-        """Row echelon form mod p as [(pivot column c, packed row)], each row
-        reduced mod p, scaled to 1 at c, with slot j holding column c + j."""
-        p = RANK_PRIME
-        rest = [_pack([x % p for x in row]) for row in self.entries]
-        pivots = []
-        for c in range(self.cols):
-            pivot = None
-            keep = []
-            for row in rest:
-                f = (row & _SLOT_MASK) % p
-                if f:
-                    if pivot is None:
-                        pivot = _reduce_packed(row, self.cols - c, pow(f, -1, p))
-                        pivots.append((c, pivot))
-                        continue
-                    row += (p - f) * pivot
-                keep.append(row >> _SLOT_BITS)
-            rest = keep
-            if not rest:
-                break
-        return pivots
-
-    def _kernel_mod_p(self, pivots):
-        """Kernel basis mod p, one vector per non-pivot column: 1 there, 0 at
-        the other free columns, and the pivot columns solved by back
-        substitution.  All vectors are solved at once: value[j] packs column
-        j of every vector, one slot per free column."""
-        p, cols = RANK_PRIME, self.cols
-        pivot_cols = {c for c, _ in pivots}
-        free = [c for c in range(cols) if c not in pivot_cols]
-        value = [0] * cols
-        for t, c in enumerate(free):
-            value[c] = 1 << (_SLOT_BITS * t)
-        for c, row in reversed(pivots):
-            # the pivot row has a 1 at c: v[c] = -sum over j > c of row[j] v[j]
-            tail = _unpack(row, cols - c)[1:]
-            acc = sum((p - a) * v for a, v in zip(tail, value[c + 1:]) if a and v)
-            value[c] = _reduce_packed(acc, len(free))
-        columns = [_unpack(v, len(free)) for v in value]
-        return list(zip(*columns))
 
     def bareiss_rank(self):
         """Exact rank by fraction-free (Bareiss) elimination."""
@@ -155,6 +118,51 @@ class ExactMatrix:
             if r == rows:
                 break
         return r
+
+
+def _echelon_mod_p(rows, cols):
+    """Row echelon form mod p of packed rows whose slots are all below p, as
+    [(pivot column c, packed pivot row)], each pivot row reduced mod p and
+    scaled to 1 at c, with slot j holding column c + j."""
+    p = RANK_PRIME
+    rest = rows
+    pivots = []
+    for c in range(cols):
+        pivot = None
+        keep = []
+        for row in rest:
+            f = (row & _SLOT_MASK) % p
+            if f:
+                if pivot is None:
+                    pivot = _reduce_packed(row, cols - c, pow(f, -1, p))
+                    pivots.append((c, pivot))
+                    continue
+                row += (p - f) * pivot
+            keep.append(row >> _SLOT_BITS)
+        rest = keep
+        if not rest:
+            break
+    return pivots
+
+
+def _kernel_mod_p(pivots, cols):
+    """Kernel basis mod p, one vector per non-pivot column: 1 there, 0 at the
+    other free columns, and the pivot columns solved by back substitution.
+    All vectors are solved at once: value[j] packs column j of every vector,
+    one slot per free column."""
+    p = RANK_PRIME
+    pivot_cols = {c for c, _ in pivots}
+    free = [c for c in range(cols) if c not in pivot_cols]
+    value = [0] * cols
+    for t, c in enumerate(free):
+        value[c] = 1 << (_SLOT_BITS * t)
+    for c, row in reversed(pivots):
+        # the pivot row has a 1 at c: v[c] = -sum over j > c of row[j] v[j]
+        tail = _unpack(row, cols - c)[1:]
+        acc = sum((p - a) * v for a, v in zip(tail, value[c + 1:]) if a and v)
+        value[c] = _reduce_packed(acc, len(free))
+    columns = [_unpack(v, len(free)) for v in value]
+    return list(zip(*columns))
 
 
 def _pack(values):
@@ -207,6 +215,7 @@ def lefschetz_power_matrix(P, i):
 
     Each row walks P.down from y one rank at a time, carrying the number of
     chains from y to each element reached, so no intermediate power is built.
+    Only lefschetz_power_rank's fallback and the tests build this matrix.
     """
     n = P.max_rank
     if not 0 <= 2 * i < n:
@@ -227,11 +236,85 @@ def lefschetz_power_matrix(P, i):
 
 
 def lefschetz_power_rank(P, i):
-    """Exact rank of lefschetz_power_matrix(P, i).  Cached on the poset."""
+    """Exact rank of lefschetz_power_matrix(P, i), without building it.
+    Cached on the poset.
+
+    The packed rows of the power mod p (_chain_counts_mod_p) go through the
+    same echelon and kernel routines as ExactMatrix.rank.  A full rank mod p
+    is the rank.  Each reconstructed integer kernel vector v is pushed up
+    n - 2i ranks through P.up in exact integers: one step sends the value at
+    z to every upper cover of z, so after n - 2i steps the value at y is
+    the sum over x of (chains from x to y) * v[x], which is U^{n-2i} v at y.
+    All zeros proves U^{n-2i} v = 0, so the independent kernel vectors bound
+    the rank by rank_p.  A failed reconstruction or push ranks the dense
+    power with ExactMatrix.rank, Bareiss elimination included.
+    """
     cache = vars(P).setdefault("_lefschetz_ranks", {})
     if i not in cache:
-        cache[i] = lefschetz_power_matrix(P, i).rank()
+        cache[i] = _power_rank(P, i)
     return cache[i]
+
+
+def _power_rank(P, i):
+    """lefschetz_power_rank's uncached computation of one power's rank."""
+    n = P.max_rank
+    if not 0 <= 2 * i < n:
+        raise InvalidParams(f"need 0 <= i < {n}/2")
+    lows = P.elements_by_rank[i]
+    cols = len(lows)
+    if max(cols, P.rank_vector[n - i]) >= _MAX_TERMS:
+        return lefschetz_power_matrix(P, i).rank()
+    rows = _chain_counts_mod_p(P, i)
+    pivots = _echelon_mod_p(rows, cols)
+    if len(pivots) == min(len(rows), cols):
+        return len(pivots)
+    up = P.up
+    for v in _kernel_mod_p(pivots, cols):
+        w = _integer_vector(v)
+        if w is None:
+            return lefschetz_power_matrix(P, i).rank()
+        values = {lows[j]: x for j, x in w}
+        for _ in range(n - 2 * i):
+            above = {}
+            for z, c in values.items():
+                for y in up[z]:
+                    above[y] = above.get(y, 0) + c
+            values = {y: c for y, c in above.items() if c}
+        if values:
+            return lefschetz_power_matrix(P, i).rank()
+    return len(pivots)
+
+
+def _chain_counts_mod_p(P, i):
+    """The rows of lefschetz_power_matrix(P, i) mod p, packed, with slot t
+    holding the chain count from the t-th rank-i element.
+
+    Rank i starts as unit slots, and each element of a higher rank sums the
+    ints of its lower covers, so only two ranks are held at once.  Every slot
+    of the current rank is at most `bound`, which a step multiplies by the
+    largest lower-cover count; the slots are reduced mod p only before a step
+    could pass 2^63, so a slot never spills into its neighbour, and once more
+    at the end if they could reach p, as _echelon_mod_p needs.
+    """
+    n = P.max_rank
+    by_rank = P.elements_by_rank
+    down = P.down
+    cols = P.rank_vector[i]
+    count = {x: 1 << (_SLOT_BITS * t) for t, x in enumerate(by_rank[i])}
+    bound = 1
+    for r in range(i + 1, n - i + 1):
+        layer = by_rank[r]
+        widest = max((len(down[y]) for y in layer), default=0)
+        if bound * widest >= 1 << 63:
+            count = {x: _reduce_packed(c, cols) for x, c in count.items()}
+            bound = RANK_PRIME - 1
+        bound *= widest
+        get = count.__getitem__
+        count = {y: sum(map(get, down[y])) for y in layer}
+    rows = [count[y] for y in by_rank[n - i]]
+    if bound >= RANK_PRIME:
+        rows = [_reduce_packed(row, cols) for row in rows]
+    return rows
 
 
 def rank_profile(P):

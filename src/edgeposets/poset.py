@@ -419,12 +419,14 @@ def poset_from_json(obj):
     if ranks and max(ranks) > RANK_CAP:
         raise InvalidParams(f"poset JSON rank {max(ranks)} exceeds the cap {RANK_CAP}")
     if not isinstance(covers, list) or not all(
-        isinstance(c, list) and len(c) == 2 and all(type(v) is int for v in c)
+        isinstance(c, list) and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
         for c in covers
     ):
         raise InvalidParams("poset JSON 'covers' must be a list of [low, high] integer pairs")
-    if labels is not None and not isinstance(labels, list):
-        raise InvalidParams("poset JSON 'labels' must be a list")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+    ):
+        raise InvalidParams("poset JSON 'labels' must be a list of strings")
     return GradedPoset(ranks, [tuple(c) for c in covers], labels)
 
 

@@ -88,11 +88,20 @@ class TestCheck:
 
     def test_ranks_and_unitary_share_lefschetz_ranks(self, capsys, monkeypatch):
         ranks = []
-        real = peck.ExactMatrix.rank
-        monkeypatch.setattr(peck.ExactMatrix, "rank", lambda m: ranks.append(m) or real(m))
+        real = peck._power_rank
+        monkeypatch.setattr(peck, "_power_rank", lambda P, i: ranks.append(i) or real(P, i))
         _, out, _ = run(capsys, "check", "bn:5", "--edge", "--checks=ranks,unitary-peck")
         computed = json.loads(out)["checks"]["unitary-peck"]["lefschetz_ranks"]
         assert len(ranks) == len(computed) == 2
+
+    @staticmethod
+    def lefschetz_sources(tmp_path):
+        """E(B_8), unitary Peck, and E(B_9/<(2 3)(4 5)(6 7)(8 9)>) as a poset
+        file, with one rank drop: the check-lefschetz benchmark's posets."""
+        G = ep.PermGroup(9, [ep.Permutation.from_cycles("(2 3)(4 5)(6 7)(8 9)", 9)])
+        path = tmp_path / "eb9.json"
+        path.write_text(json.dumps(ep.poset_to_json(quotient_edge_poset(G))))
+        return (["bn:8", "--edge"], 0, [8, 56, 168, 280]), ([str(path)], 1, [5, 36, 128, 251])
 
     def test_lefschetz_ranks_without_bareiss(self, tmp_path, capsys, monkeypatch):
         # full ranks are certified mod p, and the one rank drop of
@@ -101,13 +110,7 @@ class TestCheck:
             raise AssertionError("Bareiss elimination ran")
 
         monkeypatch.setattr(peck.ExactMatrix, "bareiss_rank", no_bareiss)
-        G = ep.PermGroup(9, [ep.Permutation.from_cycles("(2 3)(4 5)(6 7)(8 9)", 9)])
-        path = tmp_path / "eb9.json"
-        path.write_text(json.dumps(ep.poset_to_json(quotient_edge_poset(G))))
-        for source, code, ranks in (
-            (["bn:8", "--edge"], 0, [8, 56, 168, 280]),
-            ([str(path)], 1, [5, 36, 128, 251]),
-        ):
+        for source, code, ranks in self.lefschetz_sources(tmp_path):
             got, out, err = run(capsys, "check", *source, "--checks=unitary-peck")
             assert (got, err) == (code, "")
             entry = json.loads(out)["checks"]["unitary-peck"]
@@ -115,6 +118,18 @@ class TestCheck:
                 "passed": code == 0,
                 "lefschetz_ranks": {str(i): r for i, r in enumerate(ranks)},
             }
+
+    def test_lefschetz_ranks_build_no_dense_power(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = peck.lefschetz_power_matrix
+        monkeypatch.setattr(peck, "lefschetz_power_matrix", lambda P, i: built.append(i) or real(P, i))
+        for source, code, ranks in self.lefschetz_sources(tmp_path):
+            got, out, _ = run(capsys, "check", *source, "--checks=ranks,unitary-peck")
+            assert got == code
+            assert json.loads(out)["checks"]["unitary-peck"]["lefschetz_ranks"] == {
+                str(i): r for i, r in enumerate(ranks)
+            }
+        assert built == []
 
     def test_json_poset_file(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -131,8 +146,18 @@ class TestCheck:
             {"ranks": [0, "a"], "covers": []},
             {"ranks": [0, 1.5], "covers": []},
             {"ranks": [0, 1], "covers": [[0, 1]], "labels": "ab"},
+            {"ranks": [0, 1], "covers": [[0, 1]], "labels": [1, "b"]},
+            {"ranks": [0, 1], "covers": [[0, 1]], "labels": ["a", None]},
         ],
-        ids=["three-int-cover", "one-int-cover", "string-rank", "float-rank", "label-string"],
+        ids=[
+            "three-int-cover",
+            "one-int-cover",
+            "string-rank",
+            "float-rank",
+            "label-string",
+            "label-number",
+            "label-null",
+        ],
     )
     def test_malformed_json_poset_exits_2(self, obj, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -90,65 +90,100 @@ def dense_lefschetz_power(P, i):
 def lefschetz_matrices(P):
     """Every Lefschetz power of P, each checked entry for entry against the
     dense product of cover matrices."""
-    matrices = [peck.lefschetz_power_matrix(P, i) for i in range((P.max_rank + 1) // 2)]
+    matrices = [POWER(P, i) for i in range((P.max_rank + 1) // 2)]
     for i, M in enumerate(matrices):
         assert M.entries == dense_lefschetz_power(P, i)
     return matrices
 
 
-BAREISS = ExactMatrix.bareiss_rank  # the oracle, kept before any monkeypatch
+BAREISS = ExactMatrix.bareiss_rank  # the oracles, kept before any monkeypatch
+POWER = peck.lefschetz_power_matrix
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Matrices whose rank() fell back to Bareiss elimination."""
+    """Dense Lefschetz powers that lefschetz_power_rank fell back to building,
+    and matrices whose rank() fell back to Bareiss elimination, in call order."""
     calls = []
+
+    def power(P, i):
+        calls.append(POWER(P, i))
+        return calls[-1]
+
     monkeypatch.setattr(ExactMatrix, "bareiss_rank", lambda m: calls.append(m) or BAREISS(m))
+    monkeypatch.setattr(peck, "lefschetz_power_matrix", power)
     return calls
 
 
-def certified_drops(matrices, fallbacks):
-    """Check rank() against the Bareiss oracle with no fallback; returns how
-    many matrices were rank-deficient (settled by kernel certificates)."""
+def certified_drops(posets, fallbacks):
+    """Check both rank routes of every Lefschetz power of each poset against
+    the Bareiss oracle, with no fallback: lefschetz_power_rank on packed chain
+    counts mod p, and ExactMatrix.rank on the dense power.  Returns how many
+    powers were rank-deficient (settled by kernel certificates)."""
     drops = 0
-    for M in matrices:
-        rank = M.rank()
+    for P in posets:
+        ranks = [peck.lefschetz_power_rank(P, i) for i in range((P.max_rank + 1) // 2)]
+        for M, rank in zip(lefschetz_matrices(P), ranks, strict=True):
+            assert rank == M.rank() == BAREISS(M)
+            drops += rank < min(M.rows, M.cols)
         assert fallbacks == []
-        assert rank == BAREISS(M)
-        drops += rank < min(M.rows, M.cols)
     return drops
+
+
+def complete_layered(width, ranks):
+    """`ranks` antichains of `width` elements, each element covering every
+    element of the rank below."""
+    return ep.GradedPoset(
+        [r for r in range(ranks) for _ in range(width)],
+        [
+            (r * width + a, (r + 1) * width + b)
+            for r in range(ranks - 1)
+            for a in range(width)
+            for b in range(width)
+        ],
+    )
 
 
 class TestModularRank:
     def test_boolean_edge_and_h_posets(self, fallbacks):
-        matrices = [
-            M
-            for n in range(1, 8)
-            for M in lefschetz_matrices(ep.edge_poset(ep.boolean_algebra(n)).poset)
-        ]
-        matrices += [
-            M
-            for n in range(2, 7)
-            for M in lefschetz_matrices(ep.h_poset(ep.boolean_algebra(n)).poset)
-        ]
-        certified_drops(matrices, fallbacks)
+        posets = [ep.edge_poset(ep.boolean_algebra(n)).poset for n in range(1, 8)]
+        posets += [ep.h_poset(ep.boolean_algebra(n)).poset for n in range(2, 7)]
+        certified_drops(posets, fallbacks)
 
     def test_sweep_quotient_edge_posets(self, fallbacks):
-        matrices = [
-            M
-            for n in range(1, 6)
-            for G in ep.subgroup_sweep(n)
-            for M in lefschetz_matrices(quotient_edge_poset(G))
-        ]
-        assert certified_drops(matrices, fallbacks) > 0
+        posets = [quotient_edge_poset(G) for n in range(1, 6) for G in ep.subgroup_sweep(n)]
+        assert certified_drops(posets, fallbacks) > 0
 
     def test_random_graded_posets(self, rng, fallbacks):
-        matrices = [
-            M
-            for _ in range(250)
-            for M in lefschetz_matrices(random_graded_poset(rng, max_ranks=6, max_width=8))
-        ]
-        assert certified_drops(matrices, fallbacks) > 50
+        posets = [random_graded_poset(rng, max_ranks=6, max_width=8) for _ in range(250)]
+        assert certified_drops(posets, fallbacks) > 50
+
+    def test_chain_counts_past_64_bits_are_reduced(self, fallbacks):
+        # 64^11 chains join each bottom and top element: the walk from rank 0
+        # reduces mid-way, before a slot could pass 2^63, and again at the end
+        P = complete_layered(64, 13)
+        p = peck.RANK_PRIME
+        for i in range(6):
+            M = POWER(P, i)
+            assert M.entries[0][0] == 64 ** (11 - 2 * i)
+            rows = peck._chain_counts_mod_p(P, i)
+            assert [list(peck._unpack(row, 64)) for row in rows] == [
+                [x % p for x in row] for row in M.entries
+            ]
+            assert peck.lefschetz_power_rank(P, i) == BAREISS(M) == 1
+        assert fallbacks == []
+
+    @pytest.mark.parametrize(
+        "forged", [lambda v: None, lambda v: [(0, 1)]], ids=["none", "wrong-vector"]
+    )
+    def test_failed_kernel_certificate_falls_back(self, forged, fallbacks, monkeypatch):
+        # every rank drop must then reach Bareiss elimination on the dense power
+        monkeypatch.setattr(peck, "_integer_vector", forged)
+        P = complete_layered(3, 4)
+        ranks = [peck.lefschetz_power_rank(P, i) for i in range(2)]
+        built, ranked = fallbacks[::2], fallbacks[1::2]
+        assert len(fallbacks) == 4 and all(a is b for a, b in zip(built, ranked))
+        assert ranks == [BAREISS(M) for M in built] == [1, 1]
 
     def test_entries_all_multiples_of_p_fall_back(self, fallbacks):
         # rank 0 mod p, and the mod-p kernel vectors e_1, e_2 fail M v = 0
