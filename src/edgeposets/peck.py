@@ -4,10 +4,17 @@ and unitary Peck properties, plus symmetric chain decompositions.
 No floating point anywhere.  The rank of a Lefschetz power U^{n-2i} of the
 all-ones order-raising map, from rank i to rank n-i, comes from saturated
 chain counts taken modulo a word-sized prime p: P is walked upward from rank
-i, each element holding one packed int with a slot per rank-i element, so no
-integer power is built.  The rank is certified over the rationals from both
-sides: rank_p <= rank_Q always (a nonzero minor mod p is a nonzero integer
-minor), and each rank drop is confirmed by integer kernel vectors, rationally
+i, each element holding one packed int with a 64-bit slot per rank-i element,
+so no integer power is built.  Slots and rows follow a Cuthill-McKee order of
+the Hasse diagram (_slot_order), which keeps the fill of the elimination low;
+the rank does not depend on it, as reordering the rows and columns of a
+matrix keeps its rank.  The packed rows are put in echelon form mod p a block
+of columns at a time: each row's entries are read from a window equal to its
+low slots, which stays exact because no slot ever carries (each update adds
+less than p^2 to a slot), so a row is only rewritten when it is updated or
+once per block.  The rank is certified over the rationals from both sides:
+rank_p <= rank_Q always (a nonzero minor mod p is a nonzero integer minor),
+and each rank drop is confirmed by integer kernel vectors, rationally
 reconstructed from the mod-p kernel and pushed up through the covers with
 exact integer arithmetic.  When a certificate cannot be found, the dense
 integer power is built and fraction-free Bareiss elimination decides.  The
@@ -25,8 +32,10 @@ they do not make P unitary Peck, and is_unitary_peck alone never runs it.
 from __future__ import annotations
 
 import struct
+import sys
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt, lcm
 
 from .edges import h_bn_decomposition
@@ -38,11 +47,13 @@ DEFAULT_ORACLE_THRESHOLD = 12  # cross-check d_k exhaustively up to this size
 # Ranks are taken modulo RANK_PRIME, one matrix row packed into one int with a
 # 64-bit slot per column.  Adding (p - f) * T, T a pivot row reduced mod p, to
 # a row grows each slot by less than p^2, so a slot stays below p + r * p^2,
-# which is under 2^64 while the r pivots so far number fewer than 2^23; the
-# back substitution sums fewer than cols such products per slot.
+# which is under 2^64 while the r pivots so far number fewer than 2^23: no
+# slot ever carries into the next.  The back substitution sums fewer than cols
+# such products per slot.
 RANK_PRIME = 1048573  # the largest prime below 2^20
 _SLOT_BITS = 64
 _SLOT_MASK = (1 << _SLOT_BITS) - 1
+_BLOCK = 8  # columns per elimination block (see _echelon_mod_p)
 _MAX_TERMS = 1 << 23
 _RECON_BOUND = isqrt(RANK_PRIME // 2)  # 2 * N * D < p: n/d is unique if it exists
 
@@ -56,7 +67,10 @@ class ExactMatrix:
         entries = [list(row) for row in entries]
         rows = len(entries)
         if rows:
-            cols = len(entries[0])
+            width = len(entries[0])
+            if cols is not None and cols != width:
+                raise InvalidParams(f"rows have {width} entries, not cols={cols}")
+            cols = width
             for row in entries:
                 if len(row) != cols:
                     raise InvalidParams("ragged matrix")
@@ -123,25 +137,59 @@ class ExactMatrix:
 def _echelon_mod_p(rows, cols):
     """Row echelon form mod p of packed rows whose slots are all below p, as
     [(pivot column c, packed pivot row)], each pivot row reduced mod p and
-    scaled to 1 at c, with slot j holding column c + j."""
+    scaled to 1 at c, with slot j holding column c + j.  The list `rows` is
+    used up: the elimination works in it, so an updated row frees its old int
+    at once.
+
+    The pivot of column c is the first remaining row, in order, with a
+    nonzero entry at c, and each later row with entry f gains (p - f) times
+    the pivot.  The columns go in blocks of _BLOCK.  At a block's start each
+    remaining row holds the block's first column in slot 0, and its window is
+    `row & low`, its low _BLOCK slots; entries are read from the windows.  An
+    update adds the multiple of the pivot, shifted to the row's alignment, to
+    the row, and the same multiple of the shifted pivot's low slots to the
+    window.  Each update adds less than p^2 to a slot, so no slot ever
+    carries (see RANK_PRIME) and the window equals `row & low` at all times.
+    A row is thus rewritten only when it is updated and once per block, when
+    the survivors shift, and a row whose window is zero sits the block out:
+    none of its entries can become nonzero there.
+
+    The order of the rows and of the columns sets the pivots and the fill,
+    never the rank; _chain_counts_mod_p takes both from _slot_order.
+    """
     p = RANK_PRIME
-    rest = rows
     pivots = []
-    for c in range(cols):
-        pivot = None
-        keep = []
-        for row in rest:
-            f = (row & _SLOT_MASK) % p
-            if f:
-                if pivot is None:
-                    pivot = _reduce_packed(row, cols - c, pow(f, -1, p))
-                    pivots.append((c, pivot))
+    for c0 in range(0, cols, _BLOCK):
+        width = min(_BLOCK, cols - c0)
+        low = (1 << (_SLOT_BITS * width)) - 1
+        windows = [row & low for row in rows]
+        live = [t for t, w in enumerate(windows) if w]
+        for j in range(width):
+            s = _SLOT_BITS * j
+            at = None
+            for k, t in enumerate(live):
+                w = windows[t]
+                f = (w >> s & _SLOT_MASK) % p
+                if not f:
                     continue
-                row += (p - f) * pivot
-            keep.append(row >> _SLOT_BITS)
-        rest = keep
-        if not rest:
+                if at is None:
+                    at = k
+                    pivot = _reduce_packed(rows[t] >> s, cols - c0 - j, pow(f, -1, p))
+                    pivots.append((c0 + j, pivot))
+                    rows[t] = None
+                    shifted = pivot << s
+                    shifted_low = shifted & low
+                    continue
+                g = p - f
+                rows[t] += g * shifted
+                windows[t] = w + g * shifted_low
+            if at is not None:
+                del live[at]
+        rows[:] = [row for row in rows if row is not None]
+        if not rows:
             break
+        for t, row in enumerate(rows):
+            rows[t] = row >> (_SLOT_BITS * width)
     return pivots
 
 
@@ -149,18 +197,30 @@ def _kernel_mod_p(pivots, cols):
     """Kernel basis mod p, one vector per non-pivot column: 1 there, 0 at the
     other free columns, and the pivot columns solved by back substitution.
     All vectors are solved at once: value[j] packs column j of every vector,
-    one slot per free column."""
+    one slot per free column.  Each pivot row reads only the columns past
+    its pivot whose value is nonzero so far (the support)."""
     p = RANK_PRIME
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(cols) if c not in pivot_cols]
     value = [0] * cols
     for t, c in enumerate(free):
         value[c] = 1 << (_SLOT_BITS * t)
+    waiting = free[:]
+    support = []
     for c, row in reversed(pivots):
         # the pivot row has a 1 at c: v[c] = -sum over j > c of row[j] v[j]
-        tail = _unpack(row, cols - c)[1:]
-        acc = sum((p - a) * v for a, v in zip(tail, value[c + 1:]) if a and v)
-        value[c] = _reduce_packed(acc, len(free))
+        while waiting and waiting[-1] > c:
+            support.append(waiting.pop())
+        entries = memoryview(row.to_bytes((cols - c) * 8, sys.byteorder)).cast("Q")
+        acc = 0
+        for j in support:
+            a = entries[j - c]
+            if a:
+                acc += (p - a) * value[j]
+        if acc:
+            value[c] = _reduce_packed(acc, len(free))
+            if value[c]:
+                support.append(c)
     columns = [_unpack(v, len(free)) for v in value]
     return list(zip(*columns))
 
@@ -260,14 +320,13 @@ def _power_rank(P, i):
     n = P.max_rank
     if not 0 <= 2 * i < n:
         raise InvalidParams(f"need 0 <= i < {n}/2")
-    lows = P.elements_by_rank[i]
-    cols = len(lows)
+    cols = P.rank_vector[i]
     if max(cols, P.rank_vector[n - i]) >= _MAX_TERMS:
         return lefschetz_power_matrix(P, i).rank()
-    rows = _chain_counts_mod_p(P, i)
-    pivots = _echelon_mod_p(rows, cols)
-    if len(pivots) == min(len(rows), cols):
+    pivots = _echelon_mod_p(_chain_counts_mod_p(P, i), cols)
+    if len(pivots) == min(P.rank_vector[n - i], cols):
         return len(pivots)
+    lows = _slot_order(P)[i]
     up = P.up
     for v in _kernel_mod_p(pivots, cols):
         w = _integer_vector(v)
@@ -285,9 +344,50 @@ def _power_rank(P, i):
     return len(pivots)
 
 
+def _slot_order(P):
+    """The elements of each rank in Cuthill-McKee order: a breadth-first
+    search over the Hasse diagram, following upper and lower covers, that
+    starts from the first element of the lowest rank, visits the new
+    neighbours of each element in ascending order of their cover counts, and
+    starts again from the lowest-ranked element not yet reached.  Cached on
+    the poset.
+
+    The packed rows of a Lefschetz power give rank-i elements their slots,
+    and rank-(n-i) elements their rows, in this order.  Elements close in
+    the diagram share chains, so rows and columns near each other share
+    their nonzeros, and the echelon form fills in less than in the input's
+    own numbering, which may be arbitrary.  The rank does not depend on the
+    order, which only permutes the rows and the columns of the power.
+    """
+    layers = vars(P).get("_slot_layers")
+    if layers is None:
+        up, down, ranks = P.up, P.down, P.ranks
+        degree = [len(a) + len(b) for a, b in zip(up, down)]
+        seen = [False] * P.n
+        layers = tuple([] for _ in range(P.max_rank + 1))
+        for start in chain.from_iterable(P.elements_by_rank):
+            if seen[start]:
+                continue
+            seen[start] = True
+            queue = [start]
+            for x in queue:
+                layers[ranks[x]].append(x)
+                fresh = [y for y in up[x] + down[x] if not seen[y]]
+                if fresh:
+                    fresh.sort(key=degree.__getitem__)
+                    for y in fresh:
+                        seen[y] = True
+                    queue += fresh
+        P._slot_layers = layers
+    return layers
+
+
 def _chain_counts_mod_p(P, i):
-    """The rows of lefschetz_power_matrix(P, i) mod p, packed, with slot t
-    holding the chain count from the t-th rank-i element.
+    """The rows of lefschetz_power_matrix(P, i) mod p, packed, permuted: the
+    row of the t-th rank-(n-i) element of _slot_order(P) holds in slot u the
+    chain count from the u-th rank-i element of that order.  Permuting the
+    rows and the columns of a matrix keeps its rank, and the order keeps the
+    fill of _echelon_mod_p low.
 
     Rank i starts as unit slots, and each element of a higher rank sums the
     ints of its lower covers, so only two ranks are held at once.  Every slot
@@ -298,9 +398,10 @@ def _chain_counts_mod_p(P, i):
     """
     n = P.max_rank
     by_rank = P.elements_by_rank
+    order = _slot_order(P)
     down = P.down
     cols = P.rank_vector[i]
-    count = {x: 1 << (_SLOT_BITS * t) for t, x in enumerate(by_rank[i])}
+    count = {x: 1 << (_SLOT_BITS * t) for t, x in enumerate(order[i])}
     bound = 1
     for r in range(i + 1, n - i + 1):
         layer = by_rank[r]
@@ -311,7 +412,7 @@ def _chain_counts_mod_p(P, i):
         bound *= widest
         get = count.__getitem__
         count = {y: sum(map(get, down[y])) for y in layer}
-    rows = [count[y] for y in by_rank[n - i]]
+    rows = [count[y] for y in order[n - i]]
     if bound >= RANK_PRIME:
         rows = [_reduce_packed(row, cols) for row in rows]
     return rows

@@ -9,7 +9,7 @@ from edgeposets.errors import InvalidChainDecomposition, InvalidParams
 from edgeposets import peck
 from edgeposets.peck import ExactMatrix
 
-from conftest import graded_posets, quotient_edge_poset, random_graded_poset
+from conftest import graded_posets, quotient_edge_poset, random_graded_poset, shuffle_poset
 
 
 def comparability_flow_d(P, k):
@@ -64,6 +64,11 @@ class TestExactMatrix:
     def test_zero_dims(self):
         assert ExactMatrix([], cols=3).rank() == 0
 
+    def test_cols_must_match_the_rows(self):
+        assert ExactMatrix([[1, 2]], cols=2).cols == 2
+        with pytest.raises(InvalidParams):
+            ExactMatrix([[1, 2]], cols=3)
+
     def test_rank_matches_fraction_elimination(self, rng):
         for _ in range(40):
             rows = rng.randint(1, 6)
@@ -73,6 +78,101 @@ class TestExactMatrix:
             ]
             assert ExactMatrix(entries).rank() == fraction_rank(entries)
             assert ExactMatrix(entries).bareiss_rank() == fraction_rank(entries)
+
+
+def reference_echelon_mod_p(rows, cols):
+    """The column-at-a-time echelon form the blocked _echelon_mod_p replaced:
+    every remaining row is read at every column and shifted by one slot.  Its
+    pivot list is the one _echelon_mod_p must return."""
+    p = peck.RANK_PRIME
+    mask = (1 << 64) - 1
+    rest = rows
+    pivots = []
+    for c in range(cols):
+        pivot = None
+        keep = []
+        for row in rest:
+            f = (row & mask) % p
+            if f:
+                if pivot is None:
+                    pivot = peck._reduce_packed(row, cols - c, pow(f, -1, p))
+                    pivots.append((c, pivot))
+                    continue
+                row += (p - f) * pivot
+            keep.append(row >> 64)
+        rest = keep
+        if not rest:
+            break
+    return pivots
+
+
+def reference_kernel_mod_p(pivots, cols):
+    """The back substitution _kernel_mod_p replaced, reading every slot of
+    every pivot row's tail."""
+    p = peck.RANK_PRIME
+    pivot_cols = {c for c, _ in pivots}
+    free = [c for c in range(cols) if c not in pivot_cols]
+    value = [0] * cols
+    for t, c in enumerate(free):
+        value[c] = 1 << (64 * t)
+    for c, row in reversed(pivots):
+        tail = peck._unpack(row, cols - c)[1:]
+        acc = sum((p - a) * v for a, v in zip(tail, value[c + 1:]) if a and v)
+        value[c] = peck._reduce_packed(acc, len(free))
+    columns = [peck._unpack(v, len(free)) for v in value]
+    return list(zip(*columns))
+
+
+def random_packed_rows(rng, rows, cols, rank):
+    """Packed rows of a random rows x cols matrix mod p of rank at most
+    `rank`, with small entries (so pivots often vanish after elimination),
+    zero rows, and some zero entries stored as nonzero multiples of p."""
+    p = peck.RANK_PRIME
+    basis = [[rng.choice((0, 0, 1, 2, rng.randrange(p))) for _ in range(cols)] for _ in range(rank)]
+    packed = []
+    for _ in range(rows):
+        coeffs = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in basis]
+        entries = [sum(a * b[j] for a, b in zip(coeffs, basis)) % p for j in range(cols)]
+        packed.append(peck._pack([x or p * rng.choice((0, 0, 0, 1, 7)) for x in entries]))
+    return packed
+
+
+SHAPES = [(rows, cols) for cols in (0, 1, 7, 8, 9, 16, 17, 67) for rows in (0, 1, cols // 2, cols, cols + 5)]
+
+
+class TestEchelonAndKernel:
+    def test_blocked_echelon_matches_reference(self, rng):
+        for rows, cols in SHAPES:
+            for rank in {0, 1, min(rows, cols) // 2, min(rows, cols)}:
+                for _ in range(3):
+                    packed = random_packed_rows(rng, rows, cols, rank)
+                    expected = reference_echelon_mod_p(packed, cols)
+                    assert peck._echelon_mod_p(list(packed), cols) == expected
+                    assert len(expected) <= rank
+
+    def test_multiples_of_p_are_not_pivots(self):
+        p = peck.RANK_PRIME
+        rows = [peck._pack([p, 3 * p, 5]), peck._pack([2, 0, 2 * p]), peck._pack([p, 1, 0])]
+        expected = reference_echelon_mod_p(rows, 3)
+        assert [c for c, _ in expected] == [0, 1, 2]
+        assert peck._echelon_mod_p(list(rows), 3) == expected
+
+    def test_kernel_matches_reference(self, rng):
+        p = peck.RANK_PRIME
+        checked = 0
+        for rows, cols in SHAPES:
+            for rank in {0, 1, min(rows, cols) // 2}:
+                packed = random_packed_rows(rng, rows, cols, rank)
+                pivots = reference_echelon_mod_p(packed, cols)
+                if len(pivots) == cols:
+                    continue
+                kernel = peck._kernel_mod_p(pivots, cols)
+                assert kernel == reference_kernel_mod_p(pivots, cols)
+                for v in kernel:
+                    for row in packed:
+                        assert sum(a * x for a, x in zip(peck._unpack(row, cols), v)) % p == 0
+                checked += 1
+        assert checked > 50
 
 
 def dense_lefschetz_power(P, i):
@@ -118,14 +218,18 @@ def fallbacks(monkeypatch):
 def certified_drops(posets, fallbacks):
     """Check both rank routes of every Lefschetz power of each poset against
     the Bareiss oracle, with no fallback: lefschetz_power_rank on packed chain
-    counts mod p, and ExactMatrix.rank on the dense power.  Returns how many
-    powers were rank-deficient (settled by kernel certificates)."""
+    counts mod p, and ExactMatrix.rank on the dense power.  The blocked
+    echelon form of each power's packed rows must equal the reference's.
+    Returns how many powers were rank-deficient (settled by kernel
+    certificates)."""
     drops = 0
     for P in posets:
         ranks = [peck.lefschetz_power_rank(P, i) for i in range((P.max_rank + 1) // 2)]
-        for M, rank in zip(lefschetz_matrices(P), ranks, strict=True):
+        for i, (M, rank) in enumerate(zip(lefschetz_matrices(P), ranks, strict=True)):
             assert rank == M.rank() == BAREISS(M)
             drops += rank < min(M.rows, M.cols)
+            rows = peck._chain_counts_mod_p(P, i)
+            assert peck._echelon_mod_p(list(rows), M.cols) == reference_echelon_mod_p(rows, M.cols)
         assert fallbacks == []
     return drops
 
@@ -158,17 +262,34 @@ class TestModularRank:
         posets = [random_graded_poset(rng, max_ranks=6, max_width=8) for _ in range(250)]
         assert certified_drops(posets, fallbacks) > 50
 
+    def test_relabelled_posets_keep_their_ranks(self, rng, fallbacks):
+        # a seeded permutation of the element indices changes the slot order,
+        # and each rank drop must still be certified through it
+        posets = [ep.edge_poset(ep.boolean_algebra(5)).poset, ep.h_poset(ep.boolean_algebra(5)).poset]
+        posets += [quotient_edge_poset(G) for n in range(1, 6) for G in ep.subgroup_sweep(n)]
+        posets += [random_graded_poset(rng, max_ranks=6, max_width=8) for _ in range(250)]
+        for P in posets:
+            Q = shuffle_poset(rng, P)
+            n = (P.max_rank + 1) // 2
+            assert [peck.lefschetz_power_rank(Q, i) for i in range(n)] == [
+                peck.lefschetz_power_rank(P, i) for i in range(n)
+            ]
+        assert fallbacks == []
+
     def test_chain_counts_past_64_bits_are_reduced(self, fallbacks):
         # 64^11 chains join each bottom and top element: the walk from rank 0
         # reduces mid-way, before a slot could pass 2^63, and again at the end
+        # (the packed rows follow the slot order, so the oracle is permuted too)
         P = complete_layered(64, 13)
         p = peck.RANK_PRIME
+        order = peck._slot_order(P)
         for i in range(6):
             M = POWER(P, i)
             assert M.entries[0][0] == 64 ** (11 - 2 * i)
             rows = peck._chain_counts_mod_p(P, i)
+            cols = [x - 64 * i for x in order[i]]
             assert [list(peck._unpack(row, 64)) for row in rows] == [
-                [x % p for x in row] for row in M.entries
+                [M.entries[y - 64 * (12 - i)][x] % p for x in cols] for y in order[12 - i]
             ]
             assert peck.lefschetz_power_rank(P, i) == BAREISS(M) == 1
         assert fallbacks == []
