@@ -17,7 +17,6 @@ variable.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
@@ -300,6 +299,8 @@ def sweep_records(n, jobs=1, groups=None):
         groups = subgroup_sweep(n)
     workers = min(jobs, len(groups))
     if workers > 1:
+        import concurrent.futures  # only here: it also imports logging
+
         tasks = [(G.degree, [g.images for g in G.generators]) for G in groups]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_worker, tasks))

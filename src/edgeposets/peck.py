@@ -24,19 +24,26 @@ elements they do not count, gives every d_k, and posets of at most
 DEFAULT_ORACLE_THRESHOLD (12) elements are cross-checked against an
 exhaustive search.
 
-peck_report is the one place that decides Peck.  The certified Lefschetz
-ranks of the all-ones order-raising map decide first; the flow runs only when
-they do not make P unitary Peck, and is_unitary_peck alone never runs it.
+peck_report is the one place that decides Peck, by routes in this order:
+the rank profile, then the certified Lefschetz ranks of the all-ones
+order-raising map (unitary Peck), then the same ranks mod p for one seeded
+draw of cover weights (weighted_lefschetz_certificate), then the flow.  A yes
+from either Lefschetz map is exact: its powers have integer entries, so a full
+rank mod p is the full rank over the rationals, and a map with full-rank
+powers proves Peck.  A failed draw proves nothing, so the flow is now only the
+fallback, and the oracle of the tests; is_unitary_peck alone never runs it.
 """
 
 from __future__ import annotations
 
+import random
 import struct
 import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt, lcm
+from operator import mul
 
 from .edges import h_bn_decomposition
 from .errors import InternalInconsistency, InvalidChainDecomposition, InvalidParams
@@ -56,6 +63,11 @@ _SLOT_MASK = (1 << _SLOT_BITS) - 1
 _BLOCK = 8  # columns per elimination block (see _echelon_mod_p)
 _MAX_TERMS = 1 << 23
 _RECON_BOUND = isqrt(RANK_PRIME // 2)  # 2 * N * D < p: n/d is unique if it exists
+
+# The weighted Lefschetz certificate draws one weight in 1..2^WEIGHT_BITS per
+# cover from random.Random(WEIGHT_SEED), so every certificate can be replayed.
+WEIGHT_SEED = 1980
+WEIGHT_BITS = 16
 
 
 class ExactMatrix:
@@ -382,7 +394,7 @@ def _slot_order(P):
     return layers
 
 
-def _chain_counts_mod_p(P, i):
+def _chain_counts_mod_p(P, i, weights=None):
     """The rows of lefschetz_power_matrix(P, i) mod p, packed, permuted: the
     row of the t-th rank-(n-i) element of _slot_order(P) holds in slot u the
     chain count from the u-th rank-i element of that order.  Permuting the
@@ -395,6 +407,13 @@ def _chain_counts_mod_p(P, i):
     largest lower-cover count; the slots are reduced mod p only before a step
     could pass 2^63, so a slot never spills into its neighbour, and once more
     at the end if they could reach p, as _echelon_mod_p needs.
+
+    With a weight table (weights[y] holds one positive int per lower cover,
+    aligned with P.down[y]), each element sums its lower covers' ints times
+    their weights instead, and a step multiplies `bound` by the largest
+    lower-cover weight sum: the rows are then those of the power of the
+    weighted order-raising map, slot u of row y summing, over the saturated
+    chains from x to y, the product of the weights along the chain.
     """
     n = P.max_rank
     by_rank = P.elements_by_rank
@@ -405,17 +424,52 @@ def _chain_counts_mod_p(P, i):
     bound = 1
     for r in range(i + 1, n - i + 1):
         layer = by_rank[r]
-        widest = max((len(down[y]) for y in layer), default=0)
+        if weights is None:
+            widest = max((len(down[y]) for y in layer), default=0)
+        else:
+            widest = max((sum(weights[y]) for y in layer), default=0)
         if bound * widest >= 1 << 63:
             count = {x: _reduce_packed(c, cols) for x, c in count.items()}
             bound = RANK_PRIME - 1
         bound *= widest
         get = count.__getitem__
-        count = {y: sum(map(get, down[y])) for y in layer}
+        if weights is None:
+            count = {y: sum(map(get, down[y])) for y in layer}
+        else:
+            count = {y: sum(map(mul, weights[y], map(get, down[y]))) for y in layer}
     rows = [count[y] for y in order[n - i]]
     if bound >= RANK_PRIME:
         rows = [_reduce_packed(row, cols) for row in rows]
     return rows
+
+
+def _cover_weights(P):
+    """One weight in 1..2^WEIGHT_BITS per cover, as weights[y] aligned with
+    P.down[y], drawn in element order from random.Random(WEIGHT_SEED)."""
+    bits = random.Random(WEIGHT_SEED).getrandbits
+    return [[bits(WEIGHT_BITS) + 1 for _ in xs] for xs in P.down]
+
+
+def weighted_lefschetz_certificate(P):
+    """Whether the seeded weighted order-raising map (_cover_weights) has
+    full-rank powers U^{n-2i} from rank i to rank n-i for every i below the
+    middle, on a rank-symmetric P.  True proves that P is Peck (see
+    peck_report); False proves nothing, as another draw might succeed.
+
+    The ranks are taken mod p on the packed weighted chain counts
+    (_chain_counts_mod_p), which needs no kernel and no integer power: a
+    full rank mod p is the full rank over the rationals.
+    """
+    n = P.max_rank
+    vec = P.rank_vector
+    if vec != vec[::-1] or max(vec, default=0) >= _MAX_TERMS:
+        return False
+    weights = _cover_weights(P)
+    for i in range((n + 1) // 2):
+        rows = _chain_counts_mod_p(P, i, weights)
+        if len(_echelon_mod_p(rows, vec[i])) != vec[i]:
+            return False
+    return True
 
 
 def rank_profile(P):
@@ -620,14 +674,35 @@ def is_strongly_sperner(P):
 def peck_report(P):
     """The Peck fields of P; peck = symmetric, unimodal and strongly Sperner.
 
-    Unitary Peck implies Peck, which implies strongly Sperner (Stanley 1980;
-    Proctor-Saks-Sturtevant 1980), so the Greene-Kleitman flow runs only when
-    the certified Lefschetz ranks say P is not unitary Peck.  Then the flow
-    decides: Peck needs only SOME order-raising map with isomorphic powers.
+    Theorem (Stanley 1980; Proctor-Saks-Sturtevant 1980): a rank-symmetric
+    graded poset of rank n is Peck if some order-raising map U, sending each
+    element to a linear combination of its upper covers, has bijective
+    powers U^{n-2i}: P_i -> P_{n-i} for every i < n/2.  Peck implies
+    strongly Sperner.  Such a U forces the rank vector to be symmetric and
+    unimodal, so the certificates are tried only on such P.
+
+    The routes, in order:
+    - the rank profile: symmetric and unimodal, read off the rank vector;
+    - unitary Lefschetz: U with every cover weight 1 (is_unitary_peck, its
+      ranks certified from both sides);
+    - seeded weighted Lefschetz: U with the cover weights of _cover_weights
+      (weighted_lefschetz_certificate);
+    - the Greene-Kleitman flow (is_strongly_sperner), when both fail.
+
+    A yes from either certificate is exact: the entries of U^{n-2i} are
+    integers, and a full rank mod p means some maximal minor is nonzero mod
+    p, hence a nonzero integer, so the power has full rank over the
+    rationals.  The weights are fixed by WEIGHT_SEED, so the certificate can
+    be replayed.  A failed certificate is never a no: the flow decides, so
+    no verdict rests on the draw.
     """
     symmetric, unimodal = rank_profile(P)
     unitary = is_unitary_peck(P)
-    sperner = unitary or is_strongly_sperner(P)
+    sperner = (
+        unitary
+        or (symmetric and unimodal and weighted_lefschetz_certificate(P))
+        or is_strongly_sperner(P)
+    )
     return {
         "symmetric": symmetric,
         "unimodal": unimodal,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -130,6 +131,26 @@ class TestCheck:
                 str(i): r for i, r in enumerate(ranks)
             }
         assert built == []
+
+    def test_weighted_lefschetz_decides_peck_and_sperner_keeps_the_flow(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # E(B_6/<(1 2)(3 4)>) is Peck but not unitary Peck
+        G = ep.PermGroup(6, [ep.Permutation.from_cycles("(1 2)(3 4)", 6)])
+        path = tmp_path / "eb6.json"
+        path.write_text(json.dumps(ep.poset_to_json(quotient_edge_poset(G))))
+        built = []
+        real = peck._MinCostFlow
+        monkeypatch.setattr(peck, "_MinCostFlow", lambda n: built.append(n) or real(n))
+        code, out, _ = run(capsys, "check", str(path), "--checks=peck")
+        assert code == 0 and json.loads(out)["checks"]["peck"] == {"passed": True}
+        assert built == []
+        code, out, _ = run(capsys, "check", str(path), "--checks=sperner")
+        assert code == 0 and len(built) == 1
+        assert json.loads(out)["checks"]["sperner"] == {
+            "passed": True,
+            "d_table": {"1": 32, "2": 64, "3": 80, "4": 96, "5": 100, "6": 104},
+        }
 
     def test_json_poset_file(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -561,7 +582,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         code, out, _ = run(capsys, "sweep", "--n", "3", "--jobs", "100000")
         assert code == 0 and len(out.splitlines()) == 4
         assert started == [4]
@@ -576,7 +597,7 @@ class TestSweep:
     def test_jobs_below_one_exits_2(self, argv, env, capsys, monkeypatch):
         if env is not None:
             monkeypatch.setenv("EPL_JOBS", env)
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", None)  # no process may start
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # no process may start
         code, out, err = run(capsys, "sweep", "--n", "3", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: --jobs")
@@ -735,21 +756,34 @@ class TestActionRecord:
         assert built == [6] and h_built == []
 
     @pytest.mark.parametrize(
-        "G,flows",
+        "G,unitary",
         [
-            (ep.trivial(4), 0),  # E(B_4) is unitary Peck: the flow never runs
-            (ep.PermGroup(4, [ep.Permutation([1, 0, 3, 2])]), 1),
+            (ep.trivial(4), True),  # E(B_4) is unitary Peck
+            # not unitary Peck: the seeded weighted Lefschetz map certifies it
+            (ep.PermGroup(4, [ep.Permutation([1, 0, 3, 2])]), False),
         ],
         ids=["trivial", "<(12)(34)>"],
     )
-    def test_flow_runs_only_without_lefschetz_certificate(self, G, flows, monkeypatch):
+    def test_flow_runs_only_without_lefschetz_certificate(self, G, unitary, monkeypatch):
         built = []
         real = peck._MinCostFlow
         monkeypatch.setattr(peck, "_MinCostFlow", lambda n: built.append(n) or real(n))
         report = cli.action_record(G).peck_quotient_edge
-        assert len(built) == flows
-        assert report["unitary_peck"] is (flows == 0)
+        assert built == []
+        assert report["unitary_peck"] is unitary
         assert report["peck"] and report["strongly_sperner"]
+
+    def test_failed_weighted_draw_falls_back_to_the_flow(self, monkeypatch):
+        G = ep.PermGroup(4, [ep.Permutation([1, 0, 3, 2])])
+        expected = cli.action_record(G).peck_quotient_edge
+        built = []
+        real = peck._MinCostFlow
+        monkeypatch.setattr(peck, "_MinCostFlow", lambda n: built.append(n) or real(n))
+        # all-ones weights are the unitary map, whose powers do not all have full rank
+        monkeypatch.setattr(peck, "_cover_weights", lambda P: [[1] * len(xs) for xs in P.down])
+        report = cli.action_record(G).peck_quotient_edge
+        assert len(built) == 1
+        assert report == expected
 
 
 class TestPak:

@@ -548,6 +548,97 @@ class TestPeckReport:
         assert not report["peck"]
 
 
+def weighted_power(P, i, weights):
+    """Dense oracle: entry (y, x) sums, over the saturated chains from the
+    rank-i element x up to the rank-(n-i) element y, the product of the cover
+    weights along the chain (weights[z] aligned with P.down[z])."""
+    n = P.max_rank
+    rows = {}
+    for y in P.elements_by_rank[n - i]:
+        counts = {y: 1}
+        for _ in range(n - 2 * i):
+            below = {}
+            for z, c in counts.items():
+                for x, w in zip(P.down[z], weights[z]):
+                    below[x] = below.get(x, 0) + c * w
+            counts = below
+        rows[y] = counts
+    return rows
+
+
+class TestWeightedLefschetz:
+    @pytest.mark.parametrize("make", [
+        lambda: complete_layered(8, 9),  # weight sums of 2^19 per step: reduced mid-walk
+        lambda: ep.edge_poset(ep.boolean_algebra(5)).poset,
+        lambda: quotient_edge_poset(ep.PermGroup(6, [ep.Permutation.from_cycles("(1 2)(3 4)", 6)])),
+    ], ids=["layered", "E(B5)", "E(B6/<(12)(34)>)"])
+    def test_weighted_chain_counts_match_the_dense_power(self, make):
+        P = make()
+        weights = peck._cover_weights(P)
+        p = peck.RANK_PRIME
+        order = peck._slot_order(P)
+        for i in range((P.max_rank + 1) // 2):
+            dense = weighted_power(P, i, weights)
+            rows = peck._chain_counts_mod_p(P, i, weights)
+            assert [list(peck._unpack(row, len(order[i]))) for row in rows] == [
+                [dense[y].get(x, 0) % p for x in order[i]] for y in order[P.max_rank - i]
+            ]
+
+    def test_unit_weights_are_the_unweighted_walk(self, rng):
+        posets = [random_graded_poset(rng, max_ranks=6, max_width=8) for _ in range(50)]
+        for P in posets + [complete_layered(64, 13)]:
+            ones = [[1] * len(xs) for xs in P.down]
+            for i in range((P.max_rank + 1) // 2):
+                assert peck._chain_counts_mod_p(P, i, ones) == peck._chain_counts_mod_p(P, i)
+
+    def test_weights_are_seeded_and_in_range(self):
+        P = ep.edge_poset(ep.boolean_algebra(5)).poset
+        weights = peck._cover_weights(P)
+        assert weights == peck._cover_weights(P)
+        assert [len(w) for w in weights] == [len(xs) for xs in P.down]
+        flat = [w for ws in weights for w in ws]
+        assert 1 <= min(flat) and max(flat) <= 1 << peck.WEIGHT_BITS
+        assert len(set(flat)) > len(flat) // 2
+
+    @pytest.mark.parametrize("n,not_unitary", [(1, 0), (2, 1), (3, 0), (4, 4), (5, 3), (6, 16)])
+    def test_sweep_classes_match_the_flow(self, n, not_unitary, monkeypatch):
+        # the seeded draw certifies every class at n <= 6, so peck_report
+        # never runs the flow; a certificate is a proof, so the flow, and the
+        # exhaustive oracle up to 12 elements, must agree with it
+        flows = []
+        real = peck._MinCostFlow
+        monkeypatch.setattr(peck, "_MinCostFlow", lambda n: flows.append(n) or real(n))
+        posets = [quotient_edge_poset(G) for G in ep.subgroup_sweep(n)]
+        reports = [ep.peck_report(P) for P in posets]
+        assert flows == []
+        assert sum(not r["unitary_peck"] for r in reports) == not_unitary
+        for P, report in zip(posets, reports):
+            assert peck.weighted_lefschetz_certificate(P)
+            assert report["peck"] and report["strongly_sperner"]
+            assert ep.is_strongly_sperner(P)
+            if P.n <= peck.DEFAULT_ORACLE_THRESHOLD:
+                largest = sorted(P.rank_vector, reverse=True)
+                assert all(
+                    ep.brute_force_k_antichain_union(P, k) == sum(largest[:k])
+                    for k in range(1, len(largest) + 1)
+                )
+
+    def test_e_fig2_fails_the_certificate_and_the_flow_decides(self, monkeypatch):
+        # rank vector (3, 2, 3): symmetric, not unimodal, so no order-raising
+        # map has a bijective U^2, yet E(fig2) is strongly Sperner
+        P = ep.edge_poset(fig2_poset()).poset
+        assert not peck.weighted_lefschetz_certificate(P)
+        flows = []
+        real = peck._MinCostFlow
+        monkeypatch.setattr(peck, "_MinCostFlow", lambda n: flows.append(n) or real(n))
+        report = ep.peck_report(P)
+        assert report["strongly_sperner"] and not report["peck"]
+        assert len(flows) == 1
+
+    def test_asymmetric_ranks_fail_the_certificate(self):
+        assert not peck.weighted_lefschetz_certificate(ep.GradedPoset([0, 1, 1], [(0, 1), (0, 2)]))
+
+
 class TestSCD:
     def test_b1(self):
         D = ep.scd_boolean(1)
