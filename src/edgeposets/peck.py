@@ -2,26 +2,24 @@
 and unitary Peck properties, plus symmetric chain decompositions.
 
 No floating point anywhere.  The rank of a Lefschetz power U^{n-2i} of the
-all-ones order-raising map, from rank i to rank n-i, comes from saturated
-chain counts taken modulo a word-sized prime p: P is walked upward from rank
-i, each element holding one packed int with a 64-bit slot per rank-i element,
-so no integer power is built.  Slots and rows follow a Cuthill-McKee order of
-the Hasse diagram (_slot_order), which keeps the fill of the elimination low;
-the rank does not depend on it, as reordering the rows and columns of a
-matrix keeps its rank.  The packed rows are put in echelon form mod p a block
-of columns at a time: each row's entries are read from a window equal to its
-low slots, which stays exact because no slot ever carries (each update adds
-less than p^2 to a slot), so a row is only rewritten when it is updated or
-once per block.  The rank is certified over the rationals from both sides:
-rank_p <= rank_Q always (a nonzero minor mod p is a nonzero integer minor),
-and each rank drop is confirmed by integer kernel vectors, rationally
-reconstructed from the mod-p kernel and pushed up through the covers with
-exact integer arithmetic.  When a certificate cannot be found, the dense
-integer power is built and fraction-free Bareiss elimination decides.  The
-k-antichain numbers d_k come from Greene-Kleitman duality: one minimum-cost
-flow on the split-element cover network, where bypass arcs let chains pass
-elements they do not count, gives every d_k, and posets of at most
-DEFAULT_ORACLE_THRESHOLD (12) elements are cross-checked against an
+all-ones order-raising map, from rank i to rank n-i, has one certified route
+(_power_rank).  Its saturated chain counts are taken modulo a word-sized
+prime p, each element holding one packed int with a 64-bit slot per rank-i
+element, so no integer power is built; the packed rows are put in echelon
+form mod p a block of columns at a time (_echelon_mod_p), in a Cuthill-McKee
+order of the Hasse diagram that keeps the fill low (_slot_order).  The rank
+is certified over the rationals from both sides: rank_p <= rank_Q always (a
+nonzero minor mod p is a nonzero integer minor), and each rank drop is
+confirmed by integer kernel vectors, rationally reconstructed from the mod-p
+kernel and pushed up through the covers with exact integer arithmetic.  When
+a certificate cannot be found, the dense integer power is built and
+ExactMatrix.rank decides by fraction-free Bareiss elimination, the reference
+the tests hold every rank to.
+
+The k-antichain numbers d_k come from Greene-Kleitman duality: one
+minimum-cost flow on the split-element cover network, where bypass arcs let
+chains pass elements they do not count, gives every d_k, and posets of at
+most DEFAULT_ORACLE_THRESHOLD (12) elements are cross-checked against an
 exhaustive search.
 
 peck_report is the one place that decides Peck, by routes in this order:
@@ -30,8 +28,8 @@ order-raising map (unitary Peck), then the same ranks mod p for one seeded
 draw of cover weights (weighted_lefschetz_certificate), then the flow.  A yes
 from either Lefschetz map is exact: its powers have integer entries, so a full
 rank mod p is the full rank over the rationals, and a map with full-rank
-powers proves Peck.  A failed draw proves nothing, so the flow is now only the
-fallback, and the oracle of the tests; is_unitary_peck alone never runs it.
+powers proves Peck.  A failed draw proves nothing, so the flow decides when
+both maps fail, and is the oracle of the tests; is_unitary_peck never runs it.
 """
 
 from __future__ import annotations
@@ -71,56 +69,33 @@ WEIGHT_BITS = 16
 
 
 class ExactMatrix:
-    """Dense integer matrix; all arithmetic exact, no floating point anywhere."""
+    """Dense matrix of ints; all arithmetic exact, no floating point anywhere."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols=None):
         entries = [list(row) for row in entries]
-        rows = len(entries)
-        if rows:
-            width = len(entries[0])
-            if cols is not None and cols != width:
-                raise InvalidParams(f"rows have {width} entries, not cols={cols}")
-            cols = width
-            for row in entries:
-                if len(row) != cols:
-                    raise InvalidParams("ragged matrix")
-        else:
-            cols = cols or 0
-        self.rows = rows
+        if cols is None:
+            cols = len(entries[0]) if entries else 0
+        if cols < 0:
+            raise InvalidParams(f"cols={cols} is negative")
+        if any(len(row) != cols for row in entries):
+            raise InvalidParams(f"every row needs cols={cols} entries")
+        # type(...) is int also rejects bools and floats, on which the exact
+        # divisions of rank() would silently round
+        if not all(type(x) is int for row in entries for x in row):
+            raise InvalidParams("matrix entries must be ints")
+        self.rows = len(entries)
         self.cols = cols
         self.entries = entries
 
     def rank(self):
-        """Exact rank over the rationals, certified from both sides.
-
-        The rank r_p modulo RANK_PRIME is a lower bound: a minor that is
-        nonzero mod p is a nonzero integer.  If r_p = min(rows, cols) it is
-        the rank.  Otherwise the cols - r_p kernel vectors of the mod-p row
-        echelon form, each with a 1 at its own free column and 0 at the
-        others (so they are independent), are rationally reconstructed,
-        scaled to integers and checked to satisfy M v = 0 exactly; the rank
-        is then at most cols - (cols - r_p) = r_p.  If a reconstruction or a
-        check fails (as one must when p divides every nonzero minor of the
-        largest size, so that r_p < rank), the rank comes from bareiss_rank.
-        Lefschetz powers take this route only as lefschetz_power_rank's
-        fallback.
-        """
-        if max(self.rows, self.cols) >= _MAX_TERMS:
-            return self.bareiss_rank()
-        p = RANK_PRIME
-        pivots = _echelon_mod_p([_pack([x % p for x in row]) for row in self.entries], self.cols)
-        if len(pivots) == min(self.rows, self.cols):
-            return len(pivots)
-        for v in _kernel_mod_p(pivots, self.cols):
-            w = _integer_vector(v)
-            if w is None or any(sum(row[j] * x for j, x in w) for row in self.entries):
-                return self.bareiss_rank()
-        return len(pivots)
-
-    def bareiss_rank(self):
-        """Exact rank by fraction-free (Bareiss) elimination."""
+        """Exact rank over the rationals by fraction-free (Bareiss)
+        elimination.  After r pivots each entry still to be eliminated is,
+        up to sign, an (r+1) x (r+1) minor of the matrix, so every division
+        by the previous pivot is exact.  No modulus is involved: this is the
+        reference for lefschetz_power_rank's certified mod-p ranks, and the
+        rank it falls back to."""
         m = [row[:] for row in self.entries]
         rows, cols = self.rows, self.cols
         r = 0
@@ -129,20 +104,16 @@ class ExactMatrix:
             piv = next((i for i in range(r, rows) if m[i][c]), None)
             if piv is None:
                 continue
-            if piv != r:
-                m[r], m[piv] = m[piv], m[r]
-            for i in range(r + 1, rows):
-                mic = m[i][c]
-                mrc = m[r][c]
-                rowr = m[r]
-                rowi = m[i]
+            m[r], m[piv] = m[piv], m[r]
+            rowr = m[r]
+            mrc = rowr[c]
+            for rowi in m[r + 1:]:
+                mic = rowi[c]
                 for j in range(c + 1, cols):
                     rowi[j] = (mrc * rowi[j] - mic * rowr[j]) // prev
                 rowi[c] = 0
-            prev = m[r][c]
+            prev = mrc
             r += 1
-            if r == rows:
-                break
         return r
 
 
@@ -308,19 +279,8 @@ def lefschetz_power_matrix(P, i):
 
 
 def lefschetz_power_rank(P, i):
-    """Exact rank of lefschetz_power_matrix(P, i), without building it.
-    Cached on the poset.
-
-    The packed rows of the power mod p (_chain_counts_mod_p) go through the
-    same echelon and kernel routines as ExactMatrix.rank.  A full rank mod p
-    is the rank.  Each reconstructed integer kernel vector v is pushed up
-    n - 2i ranks through P.up in exact integers: one step sends the value at
-    z to every upper cover of z, so after n - 2i steps the value at y is
-    the sum over x of (chains from x to y) * v[x], which is U^{n-2i} v at y.
-    All zeros proves U^{n-2i} v = 0, so the independent kernel vectors bound
-    the rank by rank_p.  A failed reconstruction or push ranks the dense
-    power with ExactMatrix.rank, Bareiss elimination included.
-    """
+    """Exact rank of lefschetz_power_matrix(P, i), without building it
+    unless its certificate fails (see _power_rank).  Cached on the poset."""
     cache = vars(P).setdefault("_lefschetz_ranks", {})
     if i not in cache:
         cache[i] = _power_rank(P, i)
@@ -328,32 +288,45 @@ def lefschetz_power_rank(P, i):
 
 
 def _power_rank(P, i):
-    """lefschetz_power_rank's uncached computation of one power's rank."""
+    """lefschetz_power_rank's uncached computation, by the one certified
+    route.  A full rank of the packed power mod p (_chain_counts_mod_p,
+    _echelon_mod_p) is the rank.  Otherwise each mod-p kernel vector is
+    rationally reconstructed (_integer_vector) and pushed up n - 2i ranks
+    through P.up in exact integers: one step sends the value at z to every
+    upper cover of z, so after n - 2i steps the value at y is the sum over x
+    of (chains from x to y) * v[x], which is U^{n-2i} v at y.  All zeros
+    proves U^{n-2i} v = 0, so the independent kernel vectors bound the rank
+    by rank_p.  Past the packing (_MAX_TERMS rows or columns, see
+    RANK_PRIME), after a failed reconstruction, or after a push that leaves
+    a nonzero value, the dense power goes straight to Bareiss elimination
+    (ExactMatrix.rank).
+    """
     n = P.max_rank
     if not 0 <= 2 * i < n:
         raise InvalidParams(f"need 0 <= i < {n}/2")
     cols = P.rank_vector[i]
-    if max(cols, P.rank_vector[n - i]) >= _MAX_TERMS:
-        return lefschetz_power_matrix(P, i).rank()
-    pivots = _echelon_mod_p(_chain_counts_mod_p(P, i), cols)
-    if len(pivots) == min(P.rank_vector[n - i], cols):
-        return len(pivots)
-    lows = _slot_order(P)[i]
-    up = P.up
-    for v in _kernel_mod_p(pivots, cols):
-        w = _integer_vector(v)
-        if w is None:
-            return lefschetz_power_matrix(P, i).rank()
-        values = {lows[j]: x for j, x in w}
-        for _ in range(n - 2 * i):
-            above = {}
-            for z, c in values.items():
-                for y in up[z]:
-                    above[y] = above.get(y, 0) + c
-            values = {y: c for y, c in above.items() if c}
-        if values:
-            return lefschetz_power_matrix(P, i).rank()
-    return len(pivots)
+    if max(cols, P.rank_vector[n - i]) < _MAX_TERMS:
+        pivots = _echelon_mod_p(_chain_counts_mod_p(P, i), cols)
+        if len(pivots) == min(P.rank_vector[n - i], cols):
+            return len(pivots)
+        lows = _slot_order(P)[i]
+        up = P.up
+        for v in _kernel_mod_p(pivots, cols):
+            w = _integer_vector(v)
+            if w is None:
+                break
+            values = {lows[j]: x for j, x in w}
+            for _ in range(n - 2 * i):
+                above = {}
+                for z, c in values.items():
+                    for y in up[z]:
+                        above[y] = above.get(y, 0) + c
+                values = {y: c for y, c in above.items() if c}
+            if values:
+                break
+        else:
+            return len(pivots)
+    return lefschetz_power_matrix(P, i).rank()
 
 
 def _slot_order(P):
@@ -445,9 +418,22 @@ def _chain_counts_mod_p(P, i, weights=None):
 
 def _cover_weights(P):
     """One weight in 1..2^WEIGHT_BITS per cover, as weights[y] aligned with
-    P.down[y], drawn in element order from random.Random(WEIGHT_SEED)."""
-    bits = random.Random(WEIGHT_SEED).getrandbits
-    return [[bits(WEIGHT_BITS) + 1 for _ in xs] for xs in P.down]
+    P.down[y], drawn in element order from random.Random(WEIGHT_SEED).
+    Cached on the poset."""
+    weights = vars(P).get("_cover_weights")
+    if weights is None:
+        bits = random.Random(WEIGHT_SEED).getrandbits
+        weights = P._cover_weights = [[bits(WEIGHT_BITS) + 1 for _ in xs] for xs in P.down]
+    return weights
+
+
+def _bijective_powers(P, power_rank):
+    """Whether every power U^{n-2i}: P_i -> P_{n-i} of an order-raising map
+    U, for i below the middle, is bijective on a rank-symmetric P:
+    power_rank(P, i) gives the rank of U^{n-2i}.  An asymmetric P gives
+    False before any rank is taken."""
+    vec = P.rank_vector
+    return vec == vec[::-1] and all(power_rank(P, i) == vec[i] for i in range(len(vec) // 2))
 
 
 def weighted_lefschetz_certificate(P):
@@ -458,18 +444,13 @@ def weighted_lefschetz_certificate(P):
 
     The ranks are taken mod p on the packed weighted chain counts
     (_chain_counts_mod_p), which needs no kernel and no integer power: a
-    full rank mod p is the full rank over the rationals.
+    full rank mod p is the full rank over the rationals.  A rank of
+    _MAX_TERMS or more elements is beyond the packing (see RANK_PRIME), and
+    gives False before the symmetry is read or a weight is drawn.
     """
-    n = P.max_rank
-    vec = P.rank_vector
-    if vec != vec[::-1] or max(vec, default=0) >= _MAX_TERMS:
-        return False
-    weights = _cover_weights(P)
-    for i in range((n + 1) // 2):
-        rows = _chain_counts_mod_p(P, i, weights)
-        if len(_echelon_mod_p(rows, vec[i])) != vec[i]:
-            return False
-    return True
+    return max(P.rank_vector, default=0) < _MAX_TERMS and _bijective_powers(
+        P, lambda P, i: len(_echelon_mod_p(_chain_counts_mod_p(P, i, _cover_weights(P)), P.rank_vector[i]))
+    )
 
 
 def rank_profile(P):
@@ -489,16 +470,10 @@ def is_unimodal_sequence(seq):
 
 
 def is_unitary_peck(P):
-    """Whether every restricted power of the Lefschetz map from rank i to rank
-    n-i (for i below the middle) is an isomorphism."""
-    n = P.max_rank
-    vec = P.rank_vector
-    for i in range((n + 1) // 2):
-        if vec[i] != vec[n - i]:
-            return False
-        if lefschetz_power_rank(P, i) != vec[i]:
-            return False
-    return True
+    """Whether every restricted power of the all-ones Lefschetz map from rank
+    i to rank n-i (for i below the middle) is an isomorphism, by the
+    certified ranks of lefschetz_power_rank."""
+    return _bijective_powers(P, lefschetz_power_rank)
 
 
 # -- Greene-Kleitman d_k -------------------------------------------------------
@@ -795,9 +770,7 @@ def scd_h_boolean(hb):
     component decomposition."""
     witness = h_bn_decomposition(hb)
     n = hb.source.n.bit_length() - 1
-    inverse = [0] * witness.target.n
-    for i, j in enumerate(witness.image):
-        inverse[j] = i
+    inverse = witness.inverse().image
     base = scd_boolean(n - 1).chains if n else ()  # H(B_0) is empty
     half = (1 << n) >> 1
     chains = []

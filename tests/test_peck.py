@@ -69,15 +69,27 @@ class TestExactMatrix:
         with pytest.raises(InvalidParams):
             ExactMatrix([[1, 2]], cols=3)
 
+    def test_cols_must_not_be_negative(self):
+        with pytest.raises(InvalidParams):
+            ExactMatrix([], cols=-1)
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True, "2", None])
+    def test_entries_must_be_ints(self, entry):
+        with pytest.raises(InvalidParams):
+            ExactMatrix([[entry, 2]])
+
     def test_rank_matches_fraction_elimination(self, rng):
+        p = peck.RANK_PRIME
+        cases = [
+            [[p, 2 * p], [-p, 3 * p]],  # rank 2, but 0 mod p
+            [[999, 1000], [1998, 2000], [-999, -1000]],  # kernel (1000, -999)
+        ]
         for _ in range(40):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
-            entries = [
-                [rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)
-            ]
+            cases.append([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+        for entries in cases:
             assert ExactMatrix(entries).rank() == fraction_rank(entries)
-            assert ExactMatrix(entries).bareiss_rank() == fraction_rank(entries)
 
 
 def reference_echelon_mod_p(rows, cols):
@@ -196,37 +208,37 @@ def lefschetz_matrices(P):
     return matrices
 
 
-BAREISS = ExactMatrix.bareiss_rank  # the oracles, kept before any monkeypatch
+BAREISS = ExactMatrix.rank  # the oracles, kept before any monkeypatch
 POWER = peck.lefschetz_power_matrix
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
     """Dense Lefschetz powers that lefschetz_power_rank fell back to building,
-    and matrices whose rank() fell back to Bareiss elimination, in call order."""
+    and the matrices ExactMatrix.rank then ranked by Bareiss elimination, in
+    call order."""
     calls = []
 
     def power(P, i):
         calls.append(POWER(P, i))
         return calls[-1]
 
-    monkeypatch.setattr(ExactMatrix, "bareiss_rank", lambda m: calls.append(m) or BAREISS(m))
+    monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or BAREISS(m))
     monkeypatch.setattr(peck, "lefschetz_power_matrix", power)
     return calls
 
 
 def certified_drops(posets, fallbacks):
-    """Check both rank routes of every Lefschetz power of each poset against
-    the Bareiss oracle, with no fallback: lefschetz_power_rank on packed chain
-    counts mod p, and ExactMatrix.rank on the dense power.  The blocked
-    echelon form of each power's packed rows must equal the reference's.
-    Returns how many powers were rank-deficient (settled by kernel
-    certificates)."""
+    """Check the certified rank of every Lefschetz power of each poset,
+    lefschetz_power_rank on packed chain counts mod p, against the Bareiss
+    oracle on the dense power, with no fallback.  The blocked echelon form of
+    each power's packed rows must equal the reference's.  Returns how many
+    powers were rank-deficient (settled by kernel certificates)."""
     drops = 0
     for P in posets:
         ranks = [peck.lefschetz_power_rank(P, i) for i in range((P.max_rank + 1) // 2)]
         for i, (M, rank) in enumerate(zip(lefschetz_matrices(P), ranks, strict=True)):
-            assert rank == M.rank() == BAREISS(M)
+            assert rank == BAREISS(M)
             drops += rank < min(M.rows, M.cols)
             rows = peck._chain_counts_mod_p(P, i)
             assert peck._echelon_mod_p(list(rows), M.cols) == reference_echelon_mod_p(rows, M.cols)
@@ -306,18 +318,23 @@ class TestModularRank:
         assert len(fallbacks) == 4 and all(a is b for a, b in zip(built, ranked))
         assert ranks == [BAREISS(M) for M in built] == [1, 1]
 
-    def test_entries_all_multiples_of_p_fall_back(self, fallbacks):
-        # rank 0 mod p, and the mod-p kernel vectors e_1, e_2 fail M v = 0
-        p = peck.RANK_PRIME
-        M = ExactMatrix([[p, 2 * p], [-p, 3 * p]])
-        assert M.rank() == 2
-        assert fallbacks == [M]
-
-    def test_kernel_beyond_reconstruction_falls_back(self, fallbacks):
-        # the kernel is spanned by (1000, -999): no n/d with |n|, d <= 724
-        M = ExactMatrix([[999, 1000], [1998, 2000], [-999, -1000]])
-        assert M.rank() == 1
-        assert fallbacks == [M]
+    def test_poset_kernel_beyond_reconstruction_falls_back(self, fallbacks):
+        # two bottoms, 999 middle elements over the first and 1000 over the
+        # second, and two tops over all 1999: U^2 is [[999, 1000], [999, 1000]],
+        # whose kernel (1000, -999) has no n/d with |n|, d <= 724 mod p, so
+        # the dense power is built once and ranked once by Bareiss elimination
+        bottom_of = [0] * 999 + [1] * 1000  # the bottom each middle element covers
+        tops = (2 + len(bottom_of), 3 + len(bottom_of))
+        P = ep.GradedPoset(
+            [0, 0] + [1] * len(bottom_of) + [2, 2],
+            [(x, 2 + m) for m, x in enumerate(bottom_of)]
+            + [(2 + m, t) for m in range(len(bottom_of)) for t in tops],
+        )
+        assert peck._RECON_BOUND < 999
+        assert peck.lefschetz_power_rank(P, 0) == 1
+        assert ep.is_unitary_peck(P) is False
+        built, ranked = fallbacks
+        assert built is ranked and built.entries == [[999, 1000], [999, 1000]]
 
 
 class TestRankProfile:
@@ -374,6 +391,17 @@ class TestUnitaryPeck:
 
     def test_fig2(self):
         assert ep.is_unitary_peck(fig2_poset())
+
+    def test_asymmetric_poset_takes_no_rank_and_draws_no_weight(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work done on an asymmetric poset")
+
+        P = ep.edge_poset(fig1_poset()).poset
+        assert P.rank_vector == (2, 3, 2, 2)
+        monkeypatch.setattr(peck, "_power_rank", forbidden)
+        monkeypatch.setattr(peck, "_cover_weights", forbidden)
+        assert ep.is_unitary_peck(P) is False
+        assert peck.weighted_lefschetz_certificate(P) is False
 
     @given(graded_posets(max_ranks=4, max_width=3))
     def test_unitary_implies_peck_ingredients(self, P):
@@ -594,7 +622,7 @@ class TestWeightedLefschetz:
     def test_weights_are_seeded_and_in_range(self):
         P = ep.edge_poset(ep.boolean_algebra(5)).poset
         weights = peck._cover_weights(P)
-        assert weights == peck._cover_weights(P)
+        assert weights == peck._cover_weights(ep.edge_poset(ep.boolean_algebra(5)).poset)
         assert [len(w) for w in weights] == [len(xs) for xs in P.down]
         flat = [w for ws in weights for w in ws]
         assert 1 <= min(flat) and max(flat) <= 1 << peck.WEIGHT_BITS

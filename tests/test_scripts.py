@@ -42,6 +42,12 @@ def test_benchmark_tracer_wraps_the_cli(tmp_path):
         # the scd check decomposes the H(B_3) that the view built
         assert cli.main(["check", "bn:3", "--hpos", "--checks=scd", "--out", out + "/h.json"]) == 0
         assert tracer.summary()["edges.h_poset.calls"] == 1
+        # Lefschetz ranks are certified mod p: no dense power is ranked
+        before = tracer.summary()["peck.lefschetz_power_rank.calls"]
+        assert cli.main(["check", "bn:4", "--edge", "--checks=unitary-peck", "--out", out + "/u.json"]) == 0
+        summary = tracer.summary()
+        assert summary["peck.ExactMatrix.rank.calls"] == 0
+        assert summary["peck.lefschetz_power_rank.calls"] > before
         """
     )
     env = dict(
