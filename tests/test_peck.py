@@ -318,7 +318,33 @@ class TestModularRank:
         assert len(fallbacks) == 4 and all(a is b for a, b in zip(built, ranked))
         assert ranks == [BAREISS(M) for M in built] == [1, 1]
 
-    def test_poset_kernel_beyond_reconstruction_falls_back(self, fallbacks):
+    def test_entries_all_multiples_of_p_fall_back(self, fallbacks):
+        # a binary ladder: A_r and B_r each lie on N_r chains from the bottom,
+        # O_r on one, and A_{r+1}, B_{r+1} cover A_r, B_r (and O_r for a one
+        # bit), so N_{r+1} = 2 N_r + bit; the top covers A_20 alone, on p
+        # chains.  U^21 is [[p]], rank 0 mod p, and its mod-p kernel vector
+        # e_1 pushes up to p, not 0, so the dense power is built and ranked
+        p = peck.RANK_PRIME
+        bits = bin(p)[3:]  # after the leading one, which is N_1 = 1
+        ranks, covers = [0], []
+        a, b, o = 1, 2, 3  # A_1, B_1, O_1 all cover the bottom
+        ranks += [1, 1, 1]
+        covers += [(0, a), (0, b), (0, o)]
+        for r, bit in enumerate(bits, start=2):
+            na, nb, no = len(ranks), len(ranks) + 1, len(ranks) + 2
+            ranks += [r, r, r]
+            below = (a, b, o) if bit == "1" else (a, b)
+            covers += [(x, y) for y in (na, nb) for x in below] + [(o, no)]
+            a, b, o = na, nb, no
+        ranks.append(len(bits) + 2)
+        covers.append((a, len(ranks) - 1))
+        P = ep.GradedPoset(ranks, covers)
+        assert P.rank_vector == (1,) + (3,) * 20 + (1,)
+        assert peck.lefschetz_power_rank(P, 0) == 1
+        built, ranked = fallbacks
+        assert built is ranked and built.entries == [[p]]
+
+    def test_kernel_beyond_reconstruction_falls_back(self, fallbacks):
         # two bottoms, 999 middle elements over the first and 1000 over the
         # second, and two tops over all 1999: U^2 is [[999, 1000], [999, 1000]],
         # whose kernel (1000, -999) has no n/d with |n|, d <= 724 mod p, so
