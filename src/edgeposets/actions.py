@@ -8,10 +8,10 @@ maps given from outside once, and the package's own constructions store maps
 of a homomorphism G -> Aut(P) unchecked, with the proof in each docstring.
 Nothing downstream checks the action again.
 
-q reads E(P)/G off P's covers and the generator maps (_edge_quotient): the
-covers of E(P)/G come from the orbit representatives alone, so E(P) itself
-is never built.  action_on_edges still builds E(P) or H(P) with the induced
-action on it, for callers that want the whole edge poset.
+q reads E(P)/G off P's covers and the generator maps (_edge_quotient), with
+its covers from the orbit representatives alone, and the CCT scans read its
+edge orbits: E(P) itself is never built.  action_on_edges still builds E(P)
+or H(P) with the induced action on it, for callers that want all of it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .edges import EdgePoset, _edge_covers, _edge_pairs, _edge_positions, edge_poset, h_poset
+from .edges import EdgePoset, _edge_covers, _edge_pairs, _edge_position, _edge_positions
+from .edges import edge_poset, h_poset
 from .errors import InternalInconsistency, InvalidMorphism, InvalidParams
 from .perms import (
     Permutation,
@@ -245,10 +246,10 @@ def action_on_edges(A, which="E"):
 class EdgeQuotient:
     """E(P)/G, read off P without building E(P) (_edge_quotient).
 
-    Edges are numbered by their position in _edge_pairs(P), which is E(P)'s
-    element order.  orbit_of[i] is the orbit of edge i, orbits numbered by
-    ascending least edge; reps[o] is the least edge of orbit o, and poset's
-    element o is orbit o.
+    Edges are numbered by their position in _edge_pairs(P), E(P)'s element
+    order, which _edge_position reads off P.up with no table.  orbit_of[i] is
+    the orbit of edge i, numbered by ascending least edge; reps[o] is the
+    least edge of orbit o, and poset's element o is orbit o.
     """
 
     orbit_of: tuple  # edge position -> orbit
@@ -291,10 +292,10 @@ class QMap:
 
     q is always surjective; it is bijective precisely when the action is CCT,
     and even then need not be an isomorphism.  Each action builds its q once
-    (PosetAction.q); the CCT tests, the self-duality witnesses and the CLI
-    records all read that one map and the quotients it carries.  E(P)/G is an
-    EdgeQuotient, whose positions are those of _edge_pairs(P): E(P) is not
-    built, so it carries no action on E(P).
+    (PosetAction.q); the CCT tests (the scans via edge_quotient.orbit_of),
+    the self-duality witnesses and the CLI records all read that one map and
+    the quotients it carries.  E(P)/G is an EdgeQuotient, whose positions are
+    those of _edge_pairs(P): E(P) is not built, so it carries no action on it.
     """
 
     morphism: PosetMorphism
@@ -330,10 +331,9 @@ def is_cct(A, method="direct"):
     q-bijective: q: E(P)/G -> E(P/G) is a bijection.
     rank-counts: E(P)/G and E(P/G) have equal rank vectors.
 
-    direct and dual test only orbit representatives, with Stab(z)'s orbits
-    on the covers of z taken from Schreier generators (see _cct_scan), which
-    is sound because a PosetAction is an action of G by construction; no
-    other group element's map is built.
+    direct and dual test only orbit representatives and read Stab(z)'s
+    classes of covers off the orbits of E(P) that q labels (see _cct_scan);
+    no group element's map is built.
     """
     if method == "direct":
         return _cct_scan(A, upward=False)
@@ -351,6 +351,11 @@ def is_cct(A, method="direct"):
 def _cct_scan(A, upward):
     """The direct (lower covers) or dual (upper covers) CCT scan.
 
+    Covers x, y of z share a Stab(z)-orbit iff the edges joining them to z
+    share a G-orbit of E(P), as g carries the one edge to the other iff g
+    fixes z and sends x to y.  q labels those orbits (EdgeQuotient.orbit_of)
+    by the generators' edge maps, whose orbits are G's as G is finite.
+
     g in G carries the covers of z onto the covers of g.z, and conjugates
     Stab(z) onto Stab(g.z), so the condition holds at z exactly when it holds
     at g.z.  The least z where it fails is therefore the least element of its
@@ -359,62 +364,31 @@ def _cct_scan(A, upward):
     """
     P = A.poset
     orbit_of = A.orbit_of
+    edge_orbit = A.q.edge_quotient.orbit_of
+    position = _edge_position(P)
     neighbors = P.up if upward else P.down
     name = "dual" if upward else "direct"
     for z in A.orbit_reps:
         adjacent = neighbors[z]
-        classes = None
+        classes = [edge_orbit[position(z, x) if upward else position(x, z)] for x in adjacent]
         for i, x in enumerate(adjacent):
             for j, y in enumerate(adjacent[i + 1 :], i + 1):
-                if orbit_of[x] != orbit_of[y]:
-                    continue
-                if classes is None:
-                    classes = _stabilizer_classes(A, z, adjacent)
-                if classes[i] != classes[j]:
+                if orbit_of[x] == orbit_of[y] and classes[i] != classes[j]:
                     return CCTResult(False, (x, y, z), name)
     return CCTResult(True, None, name)
 
 
-def _stabilizer_classes(A, z, adjacent):
-    """The orbits of Stab(z) on the covers `adjacent` of z (all lower or all
-    upper), as an orbit label for each position (orbit_labels); callers
-    compare labels only for equality.
-
-    A breadth-first search of z's orbit under the generator maps gives, for
-    each orbit point p, a transversal element u_p with u_p(z) = p; it is kept
-    only as its restriction to `adjacent`, which it maps onto p's covers.
-    By Schreier's lemma the elements u_{s(p)}^-1 s u_p, over orbit points p
-    and generator maps s, generate Stab(z); restricted to `adjacent` they
-    generate its action there, so their orbits on positions are exactly
-    Stab(z)'s orbits.
-    """
-    restricted = {z: adjacent}  # p -> u_p restricted to adjacent
-    frontier = [z]
-    for p in frontier:
-        for m in A.gen_maps:
-            q = m[p]
-            if q not in restricted:
-                restricted[q] = tuple(m[x] for x in restricted[p])
-                frontier.append(q)
-    position = {p: {y: i for i, y in enumerate(r)} for p, r in restricted.items()}
-    schreier = {
-        tuple(position[m[p]][m[x]] for x in r)
-        for p, r in restricted.items()
-        for m in A.gen_maps
-    }
-    return orbit_labels(schreier, len(adjacent))
-
-
 def check_cct_triple(A, x, y, z):
-    """True iff the specific triple satisfies the common-cover condition:
-    some stabilizer element of z carries x to y."""
+    """True iff some stabilizer element of z carries x to y, that is, iff the
+    edges (x, z) and (y, z) lie in one G-orbit of E(P) (see _cct_scan)."""
     down = A.poset.down
     if x not in down[z] or y not in down[z]:
         raise InvalidParams("x and y must be lower covers of z")
     if A.orbit_of[x] != A.orbit_of[y]:
         raise InvalidParams("x and y must lie in one orbit")
-    classes = _stabilizer_classes(A, z, down[z])
-    return classes[down[z].index(x)] == classes[down[z].index(y)]
+    position = _edge_position(A.poset)
+    edge_orbit = A.q.edge_quotient.orbit_of
+    return edge_orbit[position(x, z)] == edge_orbit[position(y, z)]
 
 
 # -- constructions of actions ---------------------------------------------------
@@ -490,11 +464,11 @@ def complement_self_duality(A):
         raise InternalInconsistency("E(B_n/G) complement witness is not an isomorphism")
 
     pairs = _edge_pairs(A.poset)  # the elements of E(B_n), in E's order
-    index = {pair: i for i, pair in enumerate(pairs)}
+    position = _edge_position(A.poset)
     image2 = []
     for rep in eq.reps:
         x, y = pairs[rep]
-        image2.append(eq.orbit_of[index[(full ^ y, full ^ x)]])
+        image2.append(eq.orbit_of[position(full ^ y, full ^ x)])
     f_eq = PosetMorphism(eq.poset, eq.poset.dual(), image2)
     if not f_eq.is_isomorphism():
         raise InternalInconsistency("E(B_n)/G complement witness is not an isomorphism")

@@ -43,6 +43,16 @@ def _edge_pairs(P):
     return tuple(sorted(P.covers, key=lambda c: (P.ranks[c[0]], c[0], c[1])))
 
 
+def _edge_position(P):
+    """position(x, y): the position in _edge_pairs(P) of the edge (x, y), with
+    no table of positions.  The edges from x are consecutive there, as they
+    share their rank and low end, and follow P.up[x]'s ascending order."""
+    first, at = [0] * P.n, 0
+    for x in sorted(range(P.n), key=P.ranks.__getitem__):  # stable: by (rank, x)
+        first[x], at = at, at + len(P.up[x])
+    return lambda x, y: first[x] + P.up[x].index(y)
+
+
 def _edge_positions(P, pairs):
     """edge_at[x][y] is the position in `pairs` of the edge (x, y)."""
     edge_at = [{} for _ in range(P.n)]

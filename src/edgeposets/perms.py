@@ -747,10 +747,9 @@ def subgroup_sweep(n):
                 reps[least] = tuple(map(conj, gens_K))
                 todo.append((least, reps[least]))
     out = []
-    for gens in reps.values():
-        G = PermGroup(n, [Permutation(h) for h in gens])
+    for K in sorted(reps, key=lambda K: (len(K), sorted(K))):
+        G = PermGroup(n, [Permutation(h) for h in reps[K]])
         out.append(PermGroup(n, minimal_generators(G)))
-    out.sort(key=lambda G: (G.order, G.elements))
     return out
 
 

@@ -89,19 +89,19 @@ class GradedPoset:
 
     @cached_property
     def up(self):
-        """up[x]: ascending tuple of upper covers of x."""
+        """up[x]: ascending tuple of upper covers of x (self.covers is sorted)."""
         adj = [[] for _ in range(self.n)]
         for x, y in self.covers:
             adj[x].append(y)
-        return tuple(tuple(sorted(xs)) for xs in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def down(self):
-        """down[y]: ascending tuple of lower covers of y."""
+        """down[y]: ascending tuple of lower covers of y (self.covers is sorted)."""
         adj = [[] for _ in range(self.n)]
         for x, y in self.covers:
             adj[y].append(x)
-        return tuple(tuple(sorted(xs)) for xs in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def cover_set(self):
@@ -385,12 +385,14 @@ class PosetMorphism:
         return self.is_bijective() and len(self.source.covers) == len(self.target.covers)
 
     def inverse(self):
+        """The inverse isomorphism, built unchecked: it keeps ranks as self
+        does, and is_isomorphism() proves that it sends covers to covers."""
         if not self.is_isomorphism():
             raise InvalidMorphism("not an isomorphism; no inverse")
-        inv = [0] * self.target.n
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return PosetMorphism(self.target, self.source, inv)
+        inv = PosetMorphism.__new__(PosetMorphism)
+        inv.source, inv.target = self.target, self.source
+        inv.image = tuple(sorted(range(self.source.n), key=self.image.__getitem__))
+        return inv
 
 
 # -- serialization -----------------------------------------------------------

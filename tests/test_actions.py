@@ -431,7 +431,7 @@ class TestCCT:
 
 
 class TestCCTOracle:
-    """The Schreier-generator scan against the element-map scan it replaced."""
+    """The edge-orbit scan against the element-map scan."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_sweep_classes(self, n):
@@ -454,7 +454,11 @@ class TestCCTOracle:
         ):
             assert_scans_match_oracle(ep.wreath_action(A, l))
 
-    @pytest.mark.parametrize("G", [ep.dihedral(9), ep.symmetric(3)], ids=["D9", "S3"])
+    @pytest.mark.parametrize(
+        "G",
+        [ep.dihedral(9), ep.symmetric(3), ep.cyclic(6), ep.hyperoctahedral(2)],
+        ids=["D9", "S3", "C6", "B2"],
+    )
     def test_check_cct_triple_every_triple(self, G):
         A = ep.induced_bn_action(G)
         down = A.poset.down

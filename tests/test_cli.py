@@ -405,6 +405,18 @@ class TestQuotient:
         pinned = DATA / "quotient_hyperoctahedral6_n12.json"
         assert (json.dumps(record, indent=2) + "\n").encode() == pinned.read_bytes()
 
+    def test_matches_recorded_hyperoctahedral_b14(self, tmp_path):
+        # tests/data/quotient_hyperoctahedral7_n14.json: `quotient --group
+        # hyperoctahedral:7 --n 14` recorded before the CCT scans read
+        # stabiliser classes off the edge orbits, with `seconds` removed
+        target = tmp_path / "record.json"
+        argv = ["quotient", "--group", "hyperoctahedral:7", "--n", "14", "--out", str(target)]
+        assert cli.main(argv) == 0
+        record = json.loads(target.read_text())
+        del record["seconds"]
+        pinned = DATA / "quotient_hyperoctahedral7_n14.json"
+        assert (json.dumps(record, indent=2) + "\n").encode() == pinned.read_bytes()
+
     def test_consistency_guard_exit_3(self, capsys, monkeypatch):
         # S_3 on B_3 is CCT, so a non-Peck E(B_3/S_3) contradicts the theorem
         monkeypatch.setattr(cli, "peck_report", lambda P: {"peck": False})
@@ -738,6 +750,19 @@ def test_oracle_threshold_flag_is_gone(argv, capsys):
 
 
 class TestActionRecord:
+    @pytest.mark.parametrize(
+        "G", [ep.symmetric(4), ep.cyclic(4), ep.trivial(3), ep.dihedral(9)],
+        ids=["S4", "C4", "trivial", "D9"],
+    )
+    def test_two_orbit_computations_per_record(self, G, monkeypatch):
+        # one on B_n and one on E(B_n); all four CCT methods read those
+        sizes = []
+        real = actions.orbit_labels
+        monkeypatch.setattr(actions, "orbit_labels", lambda m, n: sizes.append(n) or real(m, n))
+        cli.action_record(G)
+        P = ep.boolean_algebra(G.degree)
+        assert sizes == [P.n, len(P.covers)]
+
     def test_builds_each_edge_poset_once(self, monkeypatch, capsys):
         built = []
         real = edges.edge_poset

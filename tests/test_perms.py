@@ -728,6 +728,12 @@ class TestSubgroupSweep:
             assert G.generators == W.generators
             assert G.elements == W.elements
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_sorts_without_enumerating_the_classes(self, n):
+        # the output order is read off the element sets the sweep holds
+        for G in ep.subgroup_sweep(n):
+            assert "elements" not in G.__dict__
+
     def test_out_of_range(self):
         with pytest.raises(InvalidParams):
             ep.subgroup_sweep(7)

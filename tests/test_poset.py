@@ -2,6 +2,7 @@ import json
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import edgeposets as ep
 from edgeposets.catalog import fig1_poset, fig2_poset
@@ -41,6 +42,17 @@ class TestBuild:
     def test_self_cover_rejected(self):
         with pytest.raises(NotGraded):
             ep.GradedPoset([0, 1], [(1, 1)])
+
+    @given(graded_posets(), st.randoms(use_true_random=False))
+    def test_up_down_ascending_from_shuffled_covers(self, P, rng):
+        P = shuffle_poset(rng, P)  # element order no longer follows rank
+        covers = list(P.covers)
+        rng.shuffle(covers)
+        Q = ep.GradedPoset(P.ranks, covers)
+        for adjacency in (Q.up, Q.down):
+            assert all(list(xs) == sorted(xs) for xs in adjacency)
+        assert sorted((x, y) for x in range(Q.n) for y in Q.up[x]) == sorted(covers)
+        assert sorted((x, y) for y in range(Q.n) for x in Q.down[y]) == sorted(covers)
 
 
 class TestBooleanAlgebra:
@@ -208,6 +220,19 @@ class TestMorphism:
         _, witness = ep.is_isomorphic(P, diamond)
         f = ep.PosetMorphism(P, diamond, witness)
         assert f.inverse().then(f).image == tuple(range(P.n))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_unchecked_inverse_matches_validating_constructor(self, n):
+        f = ep.h_bn_decomposition(ep.h_poset(ep.boolean_algebra(n)))
+        inv = [0] * f.target.n
+        for i, j in enumerate(f.image):
+            inv[j] = i
+        checked = ep.PosetMorphism(f.target, f.source, inv)
+        g = f.inverse()
+        assert (g.source, g.target, g.image) == (checked.source, checked.target, checked.image)
+        loose = ep.GradedPoset([0, 1], [])
+        with pytest.raises(InvalidMorphism):
+            ep.PosetMorphism(loose, ep.chain(2), [0, 1]).inverse()
 
 
 class TestSerialization:
