@@ -186,11 +186,14 @@ class QuotientPoset:
 
 
 def quotient(A):
+    """P/G, its covers read off the orbit representatives' upper covers: every
+    cover (x', y') is g.(x, y) with x the representative of x''s orbit, and
+    y = g^-1 y' lies in up[x], as g^-1 is an automorphism."""
     orbit_of = A.orbit_of
     reps = A.orbit_reps
     P = A.poset
     ranks = tuple(P.ranks[r] for r in reps)
-    covers = sorted({(orbit_of[x], orbit_of[y]) for x, y in P.covers})
+    covers = sorted({(orbit_of[x], orbit_of[y]) for x in reps for y in P.up[x]})
     labels = tuple(f"[{P.label(r)}]" for r in reps)
     return QuotientPoset(A, orbit_of, reps, GradedPoset(ranks, covers, labels))
 

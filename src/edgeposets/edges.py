@@ -40,7 +40,8 @@ class EdgePoset:
 
 
 def _edge_pairs(P):
-    return tuple(sorted(P.covers, key=lambda c: (P.ranks[c[0]], c[0], c[1])))
+    """P's covers by (rank, low, high): ranks ascend, and so do their elements and each up[x]."""
+    return tuple((x, y) for layer in P.elements_by_rank for x in layer for y in P.up[x])
 
 
 def _edge_position(P):
@@ -48,7 +49,7 @@ def _edge_position(P):
     no table of positions.  The edges from x are consecutive there, as they
     share their rank and low end, and follow P.up[x]'s ascending order."""
     first, at = [0] * P.n, 0
-    for x in sorted(range(P.n), key=P.ranks.__getitem__):  # stable: by (rank, x)
+    for x in [x for layer in P.elements_by_rank for x in layer]:  # by (rank, x)
         first[x], at = at, at + len(P.up[x])
     return lambda x, y: first[x] + P.up[x].index(y)
 

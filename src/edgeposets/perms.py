@@ -1,10 +1,9 @@
 """Permutations of {0..n-1}, permutation groups held by stabiliser chains
-(Schreier–Sims) with membership by sifting, and constructors for the group
-families used throughout: symmetric, cyclic, dihedral (acting on n-gon
-vertices), elementary abelian 2-groups, hyperoctahedral, wreath and direct
-products, left-regular actions, and automorphism groups of rooted trees
-acting on their leaves.
-"""
+that grow in place (incremental Schreier–Sims) with membership by sifting,
+and constructors for the group families used throughout: symmetric, cyclic,
+dihedral (acting on n-gon vertices), elementary abelian 2-groups,
+hyperoctahedral, wreath and direct products, left-regular actions, and
+automorphism groups of rooted trees acting on their leaves."""
 
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, total_ordering
 from itertools import accumulate, groupby
-from operator import itemgetter, mul
+from operator import eq, itemgetter, mul
 
 from .errors import (
     GroupTooLarge,
@@ -169,15 +168,13 @@ def check_enumerable(order):
 
 
 class PermGroup:
-    """Subgroup of S_n held by its stabiliser chain on the base 0..n-1.
-
-    The order is the product of the basic orbit lengths and membership is
-    decided by sifting, so nothing is enumerated at construction and the
-    order is not bounded.  The sorted element list is closed by _tuple_close
-    (the closure subgroup_sweep uses too) only when `elements` is first read,
-    so iteration is deterministic; that read raises GroupTooLarge for an
-    order above GROUP_CAP.
-    """
+    """Subgroup of S_n held by its stabiliser chain on the base 0..n-1, which
+    each generator extends in turn.  The order is the product of the basic
+    orbit lengths and membership is decided by sifting, so nothing is
+    enumerated at construction and the order is not bounded.  The sorted
+    element list is closed by _tuple_close (the closure subgroup_sweep uses
+    too) only when `elements` is first read, so iteration is deterministic;
+    that read raises GroupTooLarge for an order above GROUP_CAP."""
 
     def __init__(self, degree, generators):
         generators = tuple(g if isinstance(g, Permutation) else Permutation(g) for g in generators)
@@ -186,10 +183,19 @@ class PermGroup:
                 raise InvalidParams(f"generator degree {g.degree} != {degree}")
         self.degree = degree
         self.generators = generators
-        self.transversals = schreier_sims([g.images for g in generators], degree, range(degree))[2]
-        # suffix_orders[i] = |G^(i)|: the basic orbit lengths multiplied from level i on
-        self.suffix_orders = [*accumulate(map(len, self.transversals[::-1]), mul, initial=1)][::-1]
-        self.order = self.suffix_orders[0]
+        self.chain = StabiliserChain(degree, range(degree))
+        self._id = None  # generator_string(), once found
+        for g in generators:
+            self.chain.extend(g.images)
+
+    @property
+    def order(self):
+        return self.chain.suffix_orders()[0]
+
+    def _join(self, g):
+        """Extend the group being built in place by g, unless it holds g."""
+        if self.chain.extend(g.images):
+            self.generators += (g,)
 
     @cached_property
     def elements(self):
@@ -204,7 +210,7 @@ class PermGroup:
     def __contains__(self, g):
         if not isinstance(g, Permutation) or g.degree != self.degree:
             return False
-        return _sift(range(self.degree), self.transversals, g.images)[1] == self.degree
+        return self.chain.sift(g.images)[1] == self.degree
 
     def __repr__(self):
         gens = ";".join(g.cycle_string() for g in self.generators) or "()"
@@ -215,14 +221,14 @@ class PermGroup:
         return Permutation.identity(self.degree)
 
     def generator_string(self):
-        """Canonical id: cycle strings of a greedy minimal generating set."""
-        gens = minimal_generators(self)
-        return ";".join(g.cycle_string() for g in gens) if gens else "()"
+        """Canonical id: cycle strings of minimal_generators, found once."""
+        return self._id or minimal_generators(self)._id
 
 
 def minimal_generators(G):
-    """Greedy small generating set: repeatedly the lexicographically least
-    element of G outside the group H generated so far.
+    """G again, as the group H on a greedy small generating set: repeatedly
+    the lexicographically least element of G outside H, which extends H's
+    chain in place.  G and H keep their canonical generator string.
 
     That element is found by descent through G's chain on the base 0..d-1.
     The elements of G that agree with g on 0..i-1 form the coset g G^(i); its
@@ -230,23 +236,24 @@ def minimal_generators(G):
     visited in order of g(p).  A child lies inside H exactly when
     G^(i+1) <= H, read from the suffix orders of the two chains on the same
     base, and g u_p sifts through H.  The first child not inside H holds the
-    answer, so the descent never backtracks.
+    answer, so the descent never backtracks.  u_p is inverted from the
+    transversal's u_p^-1 only for the children visited.
     """
     d = G.degree
-    gens = []
-    H = PermGroup(d, gens)
+    H = PermGroup(d, ())
     while H.order < G.order:
+        inside = [*map(eq, G.chain.suffix_orders()[1:], H.chain.suffix_orders()[1:])]
         g = tuple(range(d))
-        for i, level in enumerate(G.transversals):
-            inside = G.suffix_orders[i + 1] == H.suffix_orders[i + 1]
+        for i, (_, _, level) in enumerate(G.chain.levels):
             for p in sorted(level, key=g.__getitem__):
-                child = tuple(g[x] for x in level[p][0])
-                if not (inside and _sift(range(d), H.transversals, child)[1] == d):
+                u = level[p] if p == i else sorted(range(d), key=level[p].__getitem__)
+                child = tuple(map(g.__getitem__, u))  # g u_p
+                if not (inside[i] and H.chain.sift(child)[1] == d):
                     g = child
                     break
-        gens.append(Permutation(g))
-        H = PermGroup(d, gens)
-    return gens
+        H._join(Permutation(g))
+    H._id = G._id = ";".join(h.cycle_string() for h in H.generators) or "()"
+    return H
 
 
 # -- named families -----------------------------------------------------------
@@ -385,10 +392,10 @@ def left_regular(table):
     permutation is some L_f, a left identity, so f = f*e = e is two-sided,
     and L_a^-1 = L_b gives a*b = b*a = e.
 
-    The rows join the generators one at a time, and a row that the group
-    generated so far already contains is skipped: skipping it changes no
-    group.  Each row that joins at least doubles the order, so at most
-    log2(order) + 1 groups are built.
+    The rows extend one group's chain in place, one at a time, and a row
+    that the group so far already contains is skipped: skipping it changes
+    no group.  Each row that joins at least doubles the order, so at most
+    log2(order) + 1 rows become generators.
     """
     n = len(table)
     rng = list(range(n))
@@ -397,13 +404,9 @@ def left_regular(table):
             raise NotAGroup("rows must be permutations of 0..n-1")
     if not any(all(table[a][e] == a for a in rng) for e in rng):
         raise NotAGroup("no column is the identity map")
-    gens = []
-    out = PermGroup(n, gens)
+    out = PermGroup(n, ())
     for row in table:
-        g = Permutation(row)
-        if g not in out:
-            gens.append(g)
-            out = PermGroup(n, gens)
+        out._join(Permutation(row))
     if out.order != n:
         raise NotAGroup(f"rows generate a group of order {out.order}, not {n}")
     return out
@@ -412,86 +415,94 @@ def left_regular(table):
 # -- stabiliser chains -----------------------------------------------------------
 
 
-def _sift(base, transversals, g, start=0):
-    """Strip g through levels start..; (residue, the level where it stopped)."""
-    for j in range(start, len(transversals)):
-        p = g[base[j]]
-        if p == base[j]:
-            continue  # u_p is the identity
-        u = transversals[j].get(p)
-        if u is None:
-            return g, j
-        g = tuple(map(u[1].__getitem__, g))
-    return g, len(transversals)
+class StabiliserChain:
+    """Stabiliser chain of a group on n points, grown in place by incremental
+    deterministic Schreier–Sims (Seress 2003, Permutation Group Algorithms,
+    ch. 4; Holt–Eick–O'Brien 2005, SCHREIERSIMS).
 
-
-def schreier_sims(gens, n, base=()):
-    """Stabiliser chain of the group generated by one-line tuples on n points:
-    deterministic Schreier–Sims (Holt–Eick–O'Brien, SCHREIERSIMS).
-
-    The base starts with `base`, whose levels may have trivial basic orbits,
-    and is extended by the least point that a new strong generator moves.
-    Returns the base and, per level i, the strong generators fixing base[:i]
-    and the transversal: basic orbit point p -> (u_p, u_p^-1), u_p(base[i]) = p.
+    levels[i] = (base point b, the strong generators fixing the base points
+    before b, each with its inverse, the transversal): basic orbit point p
+    -> u_p^-1, where u_p(b) = p.  Nothing is replaced.  A strong generator
+    that fixes the whole base adds a level at the least point it moves.
     """
-    ident = tuple(range(n))
 
-    def compose(a, b):  # a after b
-        return tuple(map(a.__getitem__, b))
+    def __init__(self, n, base=()):
+        self.ident = tuple(range(n))
+        self.levels = [(b, [], {b: self.ident}) for b in base]
+        self.sifted = {}  # (level, p) -> count of strong generators s with (p, s) sifted
 
-    def transversal(b, strong):
-        u = {b: (ident, ident)}
-        frontier = [b]
-        for p in frontier:
-            for s in strong:
-                q = s[p]
-                if q not in u:
-                    fwd = compose(s, u[p][0])
-                    u[q] = (fwd, tuple(sorted(ident, key=fwd.__getitem__)))
-                    frontier.append(q)
-        return u
+    def suffix_orders(self):
+        """[|G^(i)|]: the basic orbit lengths multiplied from level i on."""
+        return [*accumulate((len(W) for _, _, W in self.levels[::-1]), mul, initial=1)][::-1]
 
-    def residue(i):  # a Schreier generator of level i that fails to sift
-        for up, _ in U[i].values():
-            for s in S[i]:
-                sp = compose(s, up)
-                h, j = _sift(base, U, compose(U[i][sp[base[i]]][1], sp), i + 1)
-                if j < len(base) or h != ident:
-                    return h, j
+    def sift(self, g, start=0):
+        """Strip g through levels start..; (residue, the level where it stopped)."""
+        for j, (b, _, W) in enumerate(self.levels[start:], start):
+            if g[b] != b:  # else u_p is the identity
+                u = W.get(g[b])
+                if u is None:
+                    return g, j
+                g = tuple(map(u.__getitem__, g))
+        return g, len(self.levels)
+
+    def extend(self, g):
+        """Grow the chain to <G, g> for a one-line tuple g; False if G holds g.
+        g's residue joins every level whose base prefix it fixes, and the
+        Schreier–Sims loop runs from the deepest of them up to level 0."""
+        h, j = self.sift(tuple(g))
+        if h == self.ident:
+            return False
+        i = -1  # h joins levels i+1..j
+        while True:
+            self._add(h, i + 1, j)
+            i = j
+            while (found := self._residue(i)) is None:
+                i -= 1
+                if i < 0:
+                    return True
+            h, j = found
+
+    def _add(self, h, lo, hi):
+        """h joins the strong generators of levels lo..hi; their orbits grow."""
+        if hi == len(self.levels):
+            b = next(k for k, x in enumerate(h) if k != x)
+            self.levels.append((b, [], {b: self.ident}))
+        gen = (h, tuple(sorted(self.ident, key=h.__getitem__)))
+        for _, S, W in self.levels[lo : hi + 1]:
+            S.append(gen)
+            points = list(W)
+            for p in points:
+                for s, s_inv in S:
+                    if s[p] not in W:
+                        W[s[p]] = tuple(map(W[p].__getitem__, s_inv))  # u_p^-1 s^-1
+                        points.append(s[p])
+
+    def _residue(self, i):
+        """(residue, level where it stopped) of the first Schreier generator
+        u_{s(p)}^-1 s u_p of level i that fails to sift, or None.  Each pair
+        (p, s) is sifted once: it names the same element for good, and the
+        group below only grows; once a failing pair's residue has joined the
+        levels below, they hold it too."""
+        _, S, W = self.levels[i]
+        for p, w in W.items():
+            k = self.sifted.get((i, p), 0)
+            if k < len(S):
+                u = tuple(sorted(self.ident, key=w.__getitem__))
+                for s, _ in S[k:]:
+                    self.sifted[i, p] = k = k + 1
+                    y = tuple(map(W[s[p]].__getitem__, map(s.__getitem__, u)))
+                    if y != self.ident and (r := self.sift(y, i + 1))[0] != self.ident:
+                        return r
         return None
-
-    base = list(base)
-    strong = [g for g in dict.fromkeys(map(tuple, gens)) if g != ident]
-    for g in strong:
-        if all(g[b] == b for b in base):
-            base.append(next(i for i in range(n) if g[i] != i))
-    S = []
-    for b in base:
-        S.append(strong)
-        strong = [g for g in strong if g[b] == b]
-    U = [transversal(b, s) for b, s in zip(base, S)]
-    i = len(base) - 1
-    while i >= 0:
-        found = residue(i)
-        if found is None:
-            i -= 1
-            continue
-        h, j = found
-        if j == len(base):
-            base.append(next(k for k in range(n) if h[k] != k))
-            S.append([])
-            U.append(None)
-        for level in range(i + 1, j + 1):
-            S[level].append(h)
-            U[level] = transversal(base[level], S[level])
-        i = j
-    return base, S, U
 
 
 def schreier_sims_order(gens, n):
     """Order of the group generated by one-line tuples on n points, without
-    enumerating it: the product of the basic orbit lengths of its chain."""
-    return math.prod(map(len, schreier_sims(gens, n)[2]))
+    enumerating it: the generators extend a chain from an empty base."""
+    chain = StabiliserChain(n)
+    for g in gens:
+        chain.extend(g)
+    return chain.suffix_orders()[0]
 
 
 # -- rooted trees ----------------------------------------------------------------
@@ -746,11 +757,10 @@ def subgroup_sweep(n):
                 seen.add(least)
                 reps[least] = tuple(map(conj, gens_K))
                 todo.append((least, reps[least]))
-    out = []
-    for K in sorted(reps, key=lambda K: (len(K), sorted(K))):
-        G = PermGroup(n, [Permutation(h) for h in reps[K]])
-        out.append(PermGroup(n, minimal_generators(G)))
-    return out
+    return [  # each class as the group its descent grew, whose chain is complete
+        minimal_generators(PermGroup(n, [Permutation(h) for h in reps[K]]))
+        for K in sorted(reps, key=lambda K: (len(K), sorted(K)))
+    ]
 
 
 # -- generator files ----------------------------------------------------------------

@@ -41,7 +41,7 @@ class GradedPoset:
         for r in ranks:
             if r < 0:
                 raise NotGraded(f"negative rank {r}")
-        seen = set()
+        seen = {}  # in input order, so presorted covers sort in linear time
         for pair in covers:
             x, y = pair
             if not (0 <= x < n and 0 <= y < n):
@@ -52,7 +52,7 @@ class GradedPoset:
                 raise NotGraded(
                     f"cover ({x}, {y}) jumps rank {ranks[x]} -> {ranks[y]}"
                 )
-            seen.add((x, y))
+            seen[x, y] = None
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:

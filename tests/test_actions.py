@@ -311,6 +311,40 @@ class TestQuotient:
             assert A.poset.ranks[rep] == A.poset.ranks[x]
 
 
+class TestQuotientCovers:
+    """quotient() reads P/G's covers off the orbit representatives' upper
+    covers; the orbit pairs of all of P's covers, which it read before, are
+    the oracle."""
+
+    @staticmethod
+    def assert_matches_all_covers(A):
+        want = sorted({(A.orbit_of[x], A.orbit_of[y]) for x, y in A.poset.covers})
+        assert list(ep.quotient(A).poset.covers) == want
+
+    def test_random_actions(self, rng):
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+            A = ep.induced_bn_action(ep.PermGroup(n, gens))
+            for B in (A, action_on_edges(A, "E")[0], action_on_edges(A, "H")[0]):
+                self.assert_matches_all_covers(B)
+
+    def test_product_and_wreath_actions(self):
+        c3 = ep.induced_bn_action(ep.cyclic(3))
+        d4 = ep.induced_bn_action(ep.dihedral(4))
+        s2 = ep.induced_bn_action(ep.symmetric(2))
+        cherry = tree_action(ep.tree_from_children({"children": [{}, {}]}))
+        for B in (
+            ep.product_action(c3, d4),
+            ep.product_action(s2, c3),
+            ep.product_action(tree_action(tree10()), c3),
+            ep.wreath_action(c3, 2),
+            ep.wreath_action(s2, 3),
+            ep.wreath_action(cherry, 3),
+        ):
+            self.assert_matches_all_covers(B)
+
+
 class TestQMap:
     def test_trivial_is_identity(self):
         qm = ep.q_map(ep.induced_bn_action(ep.trivial(3)))

@@ -6,7 +6,9 @@ from hypothesis import given
 import edgeposets as ep
 from edgeposets.catalog import fig1_edge_expected, fig1_poset, fig2_poset
 
-from conftest import graded_posets, inflate, random_graded_poset
+from edgeposets.edges import _edge_pairs, _edge_position
+
+from conftest import graded_posets, inflate, random_graded_poset, shuffle_poset
 
 
 def diamond():
@@ -43,6 +45,18 @@ class TestEdgePoset:
         e = ep.edge_poset(P)
         for i, size in enumerate(e.poset.rank_vector):
             assert size == sum(1 for x, _ in P.covers if P.ranks[x] == i)
+
+
+class TestEdgePairs:
+    def test_matches_key_sorted_oracle(self, rng):
+        # the key-sorted formula _edge_pairs used before it read P.up rank by
+        # rank; shuffled posets number their elements out of rank order
+        for _ in range(200):
+            P = shuffle_poset(rng, random_graded_poset(rng, max_ranks=5, max_width=5))
+            want = tuple(sorted(P.covers, key=lambda c: (P.ranks[c[0]], c[0], c[1])))
+            assert _edge_pairs(P) == want
+            position = _edge_position(P)
+            assert [position(x, y) for x, y in want] == list(range(len(want)))
 
 
 class TestHPoset:

@@ -1,9 +1,11 @@
+import copy
+import math
 import random
 
 import pytest
 
 import edgeposets as ep
-from edgeposets import actions, perms
+from edgeposets import actions, cli, perms
 from edgeposets.catalog import small_group_tables, table_from_group, tree8, tree10
 from edgeposets.errors import (
     GroupTooLarge,
@@ -602,6 +604,159 @@ class TestStabilizers:
             assert schreier_sims_order([g.images for g in G.generators], G.degree) == G.order
 
 
+def scratch_schreier_sims(gens, n, base=()):
+    """The from-scratch deterministic Schreier–Sims (Holt–Eick–O'Brien,
+    SCHREIERSIMS) that the growing StabiliserChain replaced, kept as an
+    oracle.  The base starts with `base` and is extended by the least point a
+    new strong generator moves.  Returns the base, per level the strong
+    generators, and the transversal: orbit point p -> (u_p, u_p^-1)."""
+    ident = tuple(range(n))
+
+    def compose(a, b):  # a after b
+        return tuple(map(a.__getitem__, b))
+
+    def transversal(b, strong):
+        u = {b: (ident, ident)}
+        frontier = [b]
+        for p in frontier:
+            for s in strong:
+                q = s[p]
+                if q not in u:
+                    fwd = compose(s, u[p][0])
+                    u[q] = (fwd, tuple(sorted(ident, key=fwd.__getitem__)))
+                    frontier.append(q)
+        return u
+
+    def residue(i):  # a Schreier generator of level i that fails to sift
+        for up, _ in U[i].values():
+            for s in S[i]:
+                sp = compose(s, up)
+                h, j = scratch_sift(base, U, compose(U[i][sp[base[i]]][1], sp), i + 1)
+                if j < len(base) or h != ident:
+                    return h, j
+        return None
+
+    base = list(base)
+    strong = [g for g in dict.fromkeys(map(tuple, gens)) if g != ident]
+    for g in strong:
+        if all(g[b] == b for b in base):
+            base.append(next(i for i in range(n) if g[i] != i))
+    S = []
+    for b in base:
+        S.append(strong)
+        strong = [g for g in strong if g[b] == b]
+    U = [transversal(b, s) for b, s in zip(base, S)]
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            base.append(next(k for k in range(n) if h[k] != k))
+            S.append([])
+            U.append(None)
+        for level in range(i + 1, j + 1):
+            S[level].append(h)
+            U[level] = transversal(base[level], S[level])
+        i = j
+    return base, S, U
+
+
+def scratch_sift(base, transversals, g, start=0):
+    """Strip g through the oracle's levels start..; (residue, stopping level)."""
+    for j in range(start, len(transversals)):
+        p = g[base[j]]
+        if p == base[j]:
+            continue  # u_p is the identity
+        u = transversals[j].get(p)
+        if u is None:
+            return g, j
+        g = tuple(map(u[1].__getitem__, g))
+    return g, len(transversals)
+
+
+def chain_oracle_groups(rng):
+    """(degree, generator tuples): random sets on n <= 8 points, the named
+    groups and the left-regular tables."""
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        yield n, [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+    named = [ep.symmetric(8), ep.symmetric(1), ep.cyclic(9), ep.dihedral(10), ep.hyperoctahedral(4)]
+    named += [ep.wreath(ep.symmetric(3), ep.symmetric(2)), ep.tree_automorphisms(tree10())]
+    for G in named:
+        yield G.degree, [g.images for g in G.generators]
+    for table in small_group_tables().values():
+        yield len(table), [tuple(row) for row in table]
+
+
+class TestStabiliserChain:
+    def test_matches_scratch_schreier_sims_and_closure(self, rng):
+        for n, gens in chain_oracle_groups(rng):
+            G = PermGroup(n, gens)
+            base, _, U = scratch_schreier_sims(gens, n, range(n))
+            assert [b for b, _, _ in G.chain.levels] == base == list(range(n))
+            assert [set(W) for _, _, W in G.chain.levels] == [set(u) for u in U]
+            members = _tuple_close(gens, n)
+            assert G.order == math.prod(map(len, U)) == len(members)
+            assert schreier_sims_order(gens, n) == math.prod(map(len, scratch_schreier_sims(gens, n)[2]))
+            probes = rng.sample(sorted(members), min(len(members), 30))
+            probes += [tuple(rng.sample(range(n), n)) for _ in range(30)]
+            for g in probes:
+                inside = scratch_sift(base, U, g)[1] == n
+                assert (Permutation(g) in G) == inside == (g in members), (n, gens, g)
+
+    def test_one_inverse_per_orbit_point(self, rng):
+        for n, gens in chain_oracle_groups(rng):
+            chain = PermGroup(n, gens).chain
+            for i, (b, strong, W) in enumerate(chain.levels):
+                for p, w in W.items():
+                    assert isinstance(w, tuple) and sorted(w) == list(range(n))
+                    assert w[p] == b  # u_p^-1 sends p back to the base point
+                for s, s_inv in strong:
+                    assert all(s[c] == c for c, _, _ in chain.levels[:i])
+                    assert all(s_inv[x] == k for k, x in enumerate(s))
+
+    def test_extending_by_a_member_changes_nothing(self, rng):
+        for n, gens in chain_oracle_groups(rng):
+            G = PermGroup(n, gens)
+            before = copy.deepcopy((G.chain.levels, G.chain.sifted))
+            members = sorted(_tuple_close(gens, n))
+            for g in rng.sample(members, min(len(members), 10)) + gens:
+                assert G.chain.extend(g) is False
+            assert (G.chain.levels, G.chain.sifted) == before
+
+    def test_extending_grows_to_the_closure(self, rng):
+        # one chain extended by a generator at a time holds every prefix group
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 4))]
+            chain = perms.StabiliserChain(n, range(n))
+            for k, g in enumerate(gens):
+                before = chain.suffix_orders()[0]
+                grew = chain.extend(g)
+                order = len(_tuple_close(gens[: k + 1], n))
+                assert chain.suffix_orders()[0] == order and grew == (order > before)
+
+    def test_descent_and_left_regular_build_no_group_per_prefix(self, monkeypatch):
+        built = []
+        init = PermGroup.__init__
+
+        def counting_init(self, degree, generators):
+            built.append(len(generators))
+            init(self, degree, generators)
+
+        S8 = ep.symmetric(8)
+        monkeypatch.setattr(PermGroup, "__init__", counting_init)
+        H = minimal_generators(S8)
+        assert built == [0] and H.order == S8.order
+        for name, table in small_group_tables().items():
+            built.clear()
+            assert ep.left_regular(table).order == len(table)
+            assert built == [0], name
+
+
 def exhaustive_subgroup_classes(n):
     """The exhaustive subgroup_sweep that cyclic extension replaced, kept as an
     oracle: close every known subgroup with every outside element, dedupe by
@@ -639,7 +794,7 @@ def exhaustive_subgroup_classes(n):
     out = []
     for H in reps:
         G = PermGroup(n, [Permutation(h) for h in sorted(H)])
-        gens = minimal_generators(G)
+        gens = minimal_generators(G).generators
         out.append(PermGroup(n, gens))
     out.sort(key=lambda G: (G.order, G.elements))
     return out
@@ -681,7 +836,7 @@ def cyclic_extension_subgroup_classes(n):
     out = []
     for gens in reps.values():
         G = PermGroup(n, [Permutation(h) for h in gens])
-        out.append(PermGroup(n, minimal_generators(G)))
+        out.append(PermGroup(n, minimal_generators(G).generators))
     out.sort(key=lambda G: (G.order, G.elements))
     return out
 
@@ -738,6 +893,24 @@ class TestSubgroupSweep:
         with pytest.raises(InvalidParams):
             ep.subgroup_sweep(7)
 
+    def test_sweep_records_find_each_generator_string_once(self, monkeypatch):
+        calls = []
+        descend = perms.minimal_generators
+        monkeypatch.setattr(perms, "minimal_generators", lambda G: calls.append(G) or descend(G))
+        records = cli.sweep_records(5)
+        assert len(records) == 19 and len(calls) == 19
+
+    def test_classes_are_held_by_complete_chains(self):
+        # each class is the group its descent grew: its chain already holds
+        # the class, on the same base as a fresh Schreier–Sims run
+        for n in range(1, 6):
+            for G in ep.subgroup_sweep(n):
+                gens = [g.images for g in G.generators]
+                U = scratch_schreier_sims(gens, n, range(n))[2]
+                assert [set(W) for _, _, W in G.chain.levels] == [set(u) for u in U]
+                gens_string = ";".join(g.cycle_string() for g in G.generators) or "()"
+                assert G.generator_string() == gens_string
+
 
 class TestGeneratorFiles:
     def test_parse_lines(self):
@@ -755,7 +928,7 @@ class TestGeneratorFiles:
 
     def test_minimal_generators(self):
         G = ep.symmetric(4)
-        gens = minimal_generators(G)
+        gens = minimal_generators(G).generators
         assert ep.PermGroup(4, gens).order == 24
         assert len(gens) <= 3
 
@@ -802,4 +975,4 @@ class TestMinimalGenerators:
 
     def test_matches_closure_oracle(self, rng):
         for G in self.groups(rng):
-            assert minimal_generators(G) == closure_minimal_generators(G), G
+            assert list(minimal_generators(G).generators) == closure_minimal_generators(G), G

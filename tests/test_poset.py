@@ -55,6 +55,33 @@ class TestBuild:
         assert sorted((x, y) for y in range(Q.n) for x in Q.down[y]) == sorted(covers)
 
 
+    def test_covers_ascend_from_shuffled_list_input(self, rng):
+        for _ in range(100):
+            P = shuffle_poset(rng, random_graded_poset(rng))
+            covers = [list(c) for c in P.covers]
+            rng.shuffle(covers)
+            Q = ep.GradedPoset(P.ranks, covers)
+            assert Q.covers == P.covers == tuple(sorted(Q.covers))
+            assert all(type(c) is tuple for c in Q.covers)
+
+    @pytest.mark.parametrize(
+        "covers, error, message",
+        [
+            # each list holds a later fault that sorts first: the error names
+            # the first offending cover in input order
+            ([[1, 2], [2, 4], [1, 2], [0, 2], [0, 2]], DuplicateCover, r"\(1, 2\) repeated"),
+            ([[3, 9], [0, 7]], IndexOutOfRange, r"\(3, 9\) outside"),
+            ([[1, 4], [0, 4]], NotGraded, r"\(1, 4\) jumps rank 0 -> 2"),
+            ([[1, 4], [0, 9]], NotGraded, r"\(1, 4\) jumps"),
+            ([[0, 9], [1, 4]], IndexOutOfRange, r"\(0, 9\) outside"),
+        ],
+        ids=["duplicate", "out-of-range", "rank-jump", "jump-then-range", "range-then-jump"],
+    )
+    def test_errors_name_the_first_offender_in_input_order(self, covers, error, message):
+        with pytest.raises(error, match=message):
+            ep.GradedPoset([0, 0, 1, 1, 2], covers)
+
+
 class TestBooleanAlgebra:
     def test_b1(self):
         P = ep.boolean_algebra(1)
