@@ -26,7 +26,7 @@ from .errors import (
 from .poset import BOOLEAN_CAP, GradedPoset
 
 GROUP_CAP = 2_000_000  # largest order enumerated element by element
-SWEEP_MAX_N = 6     # subgroup_sweep and the exhaustive CLI sweep stop here
+SWEEP_MAX_N = 7     # subgroup_sweep and the exhaustive CLI sweep stop here
 
 
 def _cycles(images):
@@ -137,7 +137,8 @@ class Permutation:
 def _tuple_close(gens, n, limit=None):
     """Element set of the group generated by one-line tuples on n points,
     closed breadth-first under left multiplication by the generators.  With
-    a limit, the closure stops as soon as it holds limit + 1 elements.
+    a limit, the closure stops as soon as it holds limit + 1 elements; only
+    subgroup_sweep passes one, Bochert's bound on a primitive group.
 
     The one routine that enumerates a group.  It bounds nothing itself:
     PermGroup.elements and PosetAction.element_maps call check_enumerable
@@ -640,6 +641,43 @@ def tree_automorphisms(T):
 # -- subgroup sweep ----------------------------------------------------------------
 
 
+def is_primitive(gens, n):
+    """Whether the group generated by one-line tuples on n points is
+    primitive: transitive, with no block but the points and the whole set.
+
+    The least block holding 0 and j comes from the finest invariant partition
+    that joins them (Atkinson 1975): for each joined pair (a, b) and each
+    generator g, join the classes of g(a) and g(b), until no pair is left.
+    Each join merges two classes, so the block is everything exactly when
+    n - 1 joins were made.  A transitive group on a prime number of points is
+    primitive, since its blocks share one size, which divides n."""
+    orbit = [0]
+    for a in orbit:
+        orbit.extend(b for b in {g[a] for g in gens} if b not in orbit)
+    if len(orbit) < n:
+        return False
+    if all(n % d for d in range(2, n)):
+        return True
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for j in range(1, n):
+        root = list(range(n))
+        root[j] = 0
+        joined = [(0, j)]
+        for a, b in joined:
+            for g in gens:
+                x, y = find(g[a]), find(g[b])
+                if x != y:
+                    root[y] = x
+                    joined.append((x, y))
+        if len(joined) < n - 1:
+            return False
+    return True
+
+
 def subgroup_sweep(n):
     """One PermGroup per subgroup conjugacy class of S_n, for n <= SWEEP_MAX_N.
 
@@ -676,8 +714,23 @@ def subgroup_sweep(n):
     y_k h^-1 carries h k h^-1 to m and K to y_k K y_k^-1, so one k per
     K-conjugacy class suffices.  Only these cosets are searched, not S_n.
 
-    A closure that passes half of A_n (all generators even) or of S_n is
-    that whole group, by Lagrange's theorem, and is not closed further.
+    Most extensions are A_n or S_n, and those are decided from their
+    generators, not closed (Wielandt, Finite Permutation Groups, 1964).  Let
+    G be A_n if every generator of K is even and S_n otherwise, so K <= G.
+    - Jordan's theorem: a primitive group that holds a 3-cycle contains A_n,
+      and one that holds a transposition is S_n.  So a primitive K is G, and
+      is not closed, when H or c holds a permutation that moves two or three
+      points.
+    - Bochert's theorem: a primitive group that does not contain A_n has
+      index at least [(n+1)/2]! in S_n.  So any other primitive K is closed
+      only until it holds more than n!/[(n+1)/2]! elements; past that it
+      contains A_n and is G.
+    - An intransitive or imprimitive K is closed in full.  A_n and S_n are
+      primitive for n >= 3, and for n <= 2 every extension is S_n, which is
+      transitive; so such a K is a proper subgroup of G, and |K| <= |G|/2 by
+      Lagrange's theorem.  A closure stopped once it passed half of G, as
+      the sweep's was before these theorems, never stopped on such a K: both
+      find the same K, so the classes and generator strings are unchanged.
     """
     if not 1 <= n <= SWEEP_MAX_N:
         raise InvalidParams(f"subgroup_sweep supports 1 <= n <= {SWEEP_MAX_N}")
@@ -704,6 +757,8 @@ def subgroup_sweep(n):
         cyclic_gens.setdefault(C, g)
     whole = frozenset(full)
     alternating = frozenset(g for g in full if (n - len(cycle_type[g])) % 2 == 0)
+    bochert = math.factorial(n) // math.factorial((n + 1) // 2)
+    jordan = {g for g in full if 2 <= n - cycle_type[g].count(1) <= 3}  # transpositions, 3-cycles
     centralisers = {}
 
     def least_conjugator(K, gens):  # gens generate K
@@ -739,6 +794,7 @@ def subgroup_sweep(n):
     while todo:
         H, gens = todo.pop()
         normaliser = [by[y] for y in full if all(by[y](h) in H for h in gens)]
+        jordan_H = not jordan.isdisjoint(H)
         extended = set()  # cyclic subgroups in the N(H)-orbits handled so far
         for C, c in cyclic_gens.items():
             if C in extended or c in H:
@@ -746,8 +802,13 @@ def subgroup_sweep(n):
             extended.update(cyclic_of[conj(c)] for conj in normaliser)
             gens_K = gens + (c,)
             G = alternating if alternating.issuperset(gens_K) else whole
-            K = _tuple_close(gens_K, n, limit=len(G) // 2)
-            K = G if len(K) > len(G) // 2 else frozenset(K)
+            if not is_primitive(gens_K, n):
+                K = frozenset(_tuple_close(gens_K, n))
+            elif jordan_H or c in jordan:
+                K = G
+            else:
+                K = _tuple_close(gens_K, n, limit=bochert)
+                K = G if len(K) > bochert else frozenset(K)
             if K in seen:
                 continue
             seen.add(K)

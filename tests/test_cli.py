@@ -638,7 +638,7 @@ class TestSweep:
         assert err == f"error: --n {n} below group degree 3\n"
 
     def test_large_n_without_gens_exits_2(self, capsys):
-        code, _, _ = run(capsys, "sweep", "--n", "7")
+        code, _, _ = run(capsys, "sweep", "--n", "8")
         assert code == 2
 
     def test_out_file(self, tmp_path, capsys):
@@ -654,12 +654,13 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 2 and rows[0]["order"] == "1"
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_matches_recorded_jsonl(self, n, tmp_path):
         # tests/data/sweep_n{n}.jsonl: `sweep --n n` output recorded before the
         # per-action caches (n <= 4), the cyclic-extension subgroup sweep
-        # (n = 5) or its normaliser-orbit extension (n = 6, with the cap
-        # raised) landed, with each record's `seconds` removed
+        # (n = 5), its normaliser-orbit extension (n = 6, with the cap raised)
+        # or the cap's rise to 7 (n = 7) landed, with each record's `seconds`
+        # removed
         target = tmp_path / "records.jsonl"
         assert cli.main(["sweep", "--n", str(n), "--out", str(target)]) == 0
         lines = []

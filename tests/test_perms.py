@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import random
 
@@ -19,6 +20,7 @@ from edgeposets.perms import (
     PermGroup,
     Permutation,
     _tuple_close,
+    is_primitive,
     minimal_generators,
     parse_generator_lines,
     schreier_sims_order,
@@ -841,6 +843,138 @@ def cyclic_extension_subgroup_classes(n):
     return out
 
 
+def set_partitions(points):
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for blocks in set_partitions(rest):
+        yield [[first], *blocks]
+        for i, B in enumerate(blocks):
+            yield blocks[:i] + [[first, *B]] + blocks[i + 1 :]
+
+
+def primitive_by_partitions(gens, n):
+    """Brute-force primitivity: transitive, and no set partition of the
+    points other than the two trivial ones is invariant under the generators
+    (each block mapped into one block)."""
+    orbit = {0}
+    for _ in range(n):
+        orbit |= {g[a] for g in gens for a in orbit}
+    if len(orbit) < n:
+        return False
+    for blocks in set_partitions(list(range(n))):
+        if 1 < len(blocks) < n:
+            block_of = {p: i for i, B in enumerate(blocks) for p in B}
+            if all(len({block_of[g[p]] for p in B}) == 1 for g in gens for B in blocks):
+                return False
+    return True
+
+
+def random_generator_sets(rng, n, count):
+    """Generator sets on n points: arbitrary permutations, permutations of a
+    conjugate of S_a wr S_b (imprimitive) and permutations fixing a point."""
+    points = list(range(n))
+    splits = [(a, n // a) for a in range(2, n) if n % a == 0]
+    for i in range(count):
+        x = rng.sample(points, n)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            if i % 3 == 1 and splits:
+                a, b = rng.choice(splits)
+                blocks = rng.sample(range(b), b)
+                inner = [rng.sample(range(a), a) for _ in range(b)]
+                g = [blocks[p // a] * a + inner[p // a][p % a] for p in points]
+            elif i % 3 == 2:
+                g = [0] + rng.sample(points[1:], n - 1)
+            else:
+                g = rng.sample(points, n)
+            gens.append(tuple(x[g[x.index(p)]] for p in points))  # x g x^-1
+        yield gens
+
+
+def pgl_2_5():
+    """PGL(2, 5) on the projective line {0..4, oo}, oo as point 5: the
+    affine maps t -> t + 1 and t -> 2t, and t -> -1/t."""
+    inverse = {1: 1, 2: 3, 3: 2, 4: 4}
+    shift = tuple((t + 1) % 5 for t in range(5)) + (5,)
+    scale = tuple(2 * t % 5 for t in range(5)) + (5,)
+    flip = (5,) + tuple(-inverse[t] % 5 for t in range(1, 5)) + (0,)
+    return PermGroup(6, [shift, scale, flip])
+
+
+class TestPrimitivity:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_partition_oracle(self, n, rng):
+        verdicts = []
+        for gens in random_generator_sets(rng, n, 30):
+            verdicts.append(is_primitive(gens, n))
+            assert verdicts[-1] == primitive_by_partitions(gens, n), gens
+        if n >= 4:
+            assert True in verdicts and False in verdicts
+
+    def named_groups(self):
+        for p in (2, 3, 5, 7):
+            yield ep.cyclic(p), True
+            yield ep.dihedral(p), True
+        for n in (4, 6):
+            yield ep.cyclic(n), False
+            yield ep.dihedral(n), False
+        for a, b in ((2, 2), (2, 3), (3, 2)):
+            yield ep.wreath(ep.symmetric(a), ep.symmetric(b)), False
+        yield ep.hyperoctahedral(3), False
+        yield pgl_2_5(), True
+        for n in (2, 4, 6, 7):
+            yield ep.symmetric(n), True
+            yield ep.direct_product(ep.symmetric(n - 1), ep.trivial(1)), False
+
+    def test_named_groups(self):
+        assert pgl_2_5().order == 120
+        for G, primitive in self.named_groups():
+            gens = [g.images for g in G.generators]
+            assert is_primitive(gens, G.degree) == primitive, G
+            assert primitive_by_partitions(gens, G.degree) == primitive, G
+
+
+def spy_sweep_extensions(n, monkeypatch):
+    """Run subgroup_sweep(n) and log each extension K = <gens(H), c>: its
+    generators, is_primitive's verdict and the (limit, size) of the closure
+    the sweep made of it, or None if it closed nothing."""
+    log = []
+
+    def primitive(gens, degree):
+        verdict = is_primitive(gens, degree)
+        log.append([tuple(gens), verdict, None])
+        return verdict
+
+    def close(gens, degree, limit=None):
+        els = _tuple_close(gens, degree, limit)
+        if log and log[-1][0] == tuple(gens):
+            log[-1][2] = (limit, len(els))
+        return els
+
+    monkeypatch.setattr(perms, "is_primitive", primitive)
+    monkeypatch.setattr(perms, "_tuple_close", close)
+    perms.subgroup_sweep(n)
+    monkeypatch.undo()
+    return log
+
+
+def closure_sizes(n, monkeypatch):
+    """The size of every closure _tuple_close returns during subgroup_sweep(n)."""
+    sizes = []
+
+    def close(gens, degree, limit=None):
+        els = _tuple_close(gens, degree, limit)
+        sizes.append(len(els))
+        return els
+
+    monkeypatch.setattr(perms, "_tuple_close", close)
+    perms.subgroup_sweep(n)
+    monkeypatch.undo()
+    return sizes
+
+
 class TestSubgroupSweep:
     def test_counts(self):
         # OEIS A000638: subgroup conjugacy classes of S_n
@@ -891,7 +1025,42 @@ class TestSubgroupSweep:
 
     def test_out_of_range(self):
         with pytest.raises(InvalidParams):
-            ep.subgroup_sweep(7)
+            ep.subgroup_sweep(8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_decided_extensions_are_alternating_or_symmetric(self, n, monkeypatch):
+        # Jordan's theorem decides a primitive K with a 3-cycle or a
+        # transposition, Bochert's a primitive K that passes its bound; either
+        # way K is A_n or S_n by its generators' parity.  Every other K is
+        # closed in full, and is then below half of that group.
+        full = set(itertools.permutations(range(n)))
+        alternating = {g for g in full if (n - len(perms._cycles(g))) % 2 == 0}
+        bochert = math.factorial(n) // math.factorial((n + 1) // 2)
+        decided = {"jordan": 0, "bochert": 0, "closed": 0}
+        for gens, primitive, closed in spy_sweep_extensions(n, monkeypatch):
+            K = _tuple_close(gens, n)
+            G = alternating if alternating.issuperset(gens) else full
+            if closed is None:
+                decided["jordan"] += 1
+                assert primitive and K == G
+            elif closed[0] is not None and closed[1] > closed[0]:
+                decided["bochert"] += 1
+                assert primitive and closed[0] == bochert and K == G
+            else:
+                decided["closed"] += 1
+                assert closed == ((bochert if primitive else None), len(K))
+                assert 2 * len(K) < len(G)
+        if n >= 5:
+            assert all(decided.values()), decided
+
+    def test_closes_a_quarter_of_the_lagrange_stop(self, monkeypatch):
+        # stopping only at half of A_n or S_n, the sweep enumerated 8,525
+        # elements at n = 5
+        assert sum(closure_sizes(5, monkeypatch)) <= 8525 // 4
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_no_closure_reaches_the_alternating_group(self, n, monkeypatch):
+        assert max(closure_sizes(n, monkeypatch)) < math.factorial(n) // 2
 
     def test_sweep_records_find_each_generator_string_once(self, monkeypatch):
         calls = []
