@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .edges import EdgePoset, _edge_covers, _edge_pairs, _edge_position, _edge_positions
+from .edges import EdgePoset, _edge_covers, _edge_pairs, _edge_positions
 from .edges import edge_poset, h_poset
 from .errors import InternalInconsistency, InvalidMorphism, InvalidParams
 from .perms import (
@@ -250,14 +250,15 @@ class EdgeQuotient:
     """E(P)/G, read off P without building E(P) (_edge_quotient).
 
     Edges are numbered by their position in _edge_pairs(P), E(P)'s element
-    order, which _edge_position reads off P.up with no table.  orbit_of[i] is
-    the orbit of edge i, numbered by ascending least edge; reps[o] is the
-    least edge of orbit o, and poset's element o is orbit o.
+    order: edge_at[x][y] is that of the edge (x, y) (_edge_positions).
+    orbit_of[i] is the orbit of edge i, numbered by ascending least edge;
+    reps[o] is the least edge of orbit o, and poset's element o is orbit o.
     """
 
     orbit_of: tuple  # edge position -> orbit
     reps: tuple      # orbit -> least edge position
     poset: GradedPoset
+    edge_at: list    # edge_at[x][y]: position of the edge (x, y)
 
 
 def _edge_quotient(A, pairs):
@@ -286,7 +287,7 @@ def _edge_quotient(A, pairs):
     covers = {(o, orbit_of[j]) for o, j in _edge_covers(P, rep_pairs, edge_at, False)}
     labels = tuple(f"[({P.label(x)},{P.label(y)})]" for x, y in rep_pairs)
     poset = GradedPoset((ranks[r] for r in reps), covers, labels)
-    return EdgeQuotient(orbit_of, reps, poset)
+    return EdgeQuotient(orbit_of, reps, poset, edge_at)
 
 
 @dataclass(frozen=True)
@@ -367,13 +368,13 @@ def _cct_scan(A, upward):
     """
     P = A.poset
     orbit_of = A.orbit_of
-    edge_orbit = A.q.edge_quotient.orbit_of
-    position = _edge_position(P)
+    eq = A.q.edge_quotient
+    edge_orbit, edge_at = eq.orbit_of, eq.edge_at
     neighbors = P.up if upward else P.down
     name = "dual" if upward else "direct"
     for z in A.orbit_reps:
         adjacent = neighbors[z]
-        classes = [edge_orbit[position(z, x) if upward else position(x, z)] for x in adjacent]
+        classes = [edge_orbit[edge_at[z][x] if upward else edge_at[x][z]] for x in adjacent]
         for i, x in enumerate(adjacent):
             for j, y in enumerate(adjacent[i + 1 :], i + 1):
                 if orbit_of[x] == orbit_of[y] and classes[i] != classes[j]:
@@ -389,9 +390,8 @@ def check_cct_triple(A, x, y, z):
         raise InvalidParams("x and y must be lower covers of z")
     if A.orbit_of[x] != A.orbit_of[y]:
         raise InvalidParams("x and y must lie in one orbit")
-    position = _edge_position(A.poset)
-    edge_orbit = A.q.edge_quotient.orbit_of
-    return edge_orbit[position(x, z)] == edge_orbit[position(y, z)]
+    eq = A.q.edge_quotient
+    return eq.orbit_of[eq.edge_at[x][z]] == eq.orbit_of[eq.edge_at[y][z]]
 
 
 # -- constructions of actions ---------------------------------------------------
@@ -467,11 +467,10 @@ def complement_self_duality(A):
         raise InternalInconsistency("E(B_n/G) complement witness is not an isomorphism")
 
     pairs = _edge_pairs(A.poset)  # the elements of E(B_n), in E's order
-    position = _edge_position(A.poset)
     image2 = []
     for rep in eq.reps:
         x, y = pairs[rep]
-        image2.append(eq.orbit_of[position(full ^ y, full ^ x)])
+        image2.append(eq.orbit_of[eq.edge_at[full ^ y][full ^ x]])
     f_eq = PosetMorphism(eq.poset, eq.poset.dual(), image2)
     if not f_eq.is_isomorphism():
         raise InternalInconsistency("E(B_n)/G complement witness is not an isomorphism")

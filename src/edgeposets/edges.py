@@ -44,16 +44,6 @@ def _edge_pairs(P):
     return tuple((x, y) for layer in P.elements_by_rank for x in layer for y in P.up[x])
 
 
-def _edge_position(P):
-    """position(x, y): the position in _edge_pairs(P) of the edge (x, y), with
-    no table of positions.  The edges from x are consecutive there, as they
-    share their rank and low end, and follow P.up[x]'s ascending order."""
-    first, at = [0] * P.n, 0
-    for x in [x for layer in P.elements_by_rank for x in layer]:  # by (rank, x)
-        first[x], at = at, at + len(P.up[x])
-    return lambda x, y: first[x] + P.up[x].index(y)
-
-
 def _edge_positions(P, pairs):
     """edge_at[x][y] is the position in `pairs` of the edge (x, y)."""
     edge_at = [{} for _ in range(P.n)]

@@ -597,14 +597,11 @@ def _antichain_union_table(P):
     if cached is not None:
         return cached
     n = P.n
-    below = [0] * n
-    for u in range(n):
-        rest = P._reach[u] & ~(1 << u)
-        v = 0
-        while rest >> v:
-            if (rest >> v) & 1:
-                below[v] |= 1 << u
-            v += 1
+    below = [0] * n  # below[v]: bitmask of all u < v, built rank by rank upward
+    for layer in P.elements_by_rank:
+        for v in layer:
+            for u in P.down[v]:
+                below[v] |= below[u] | 1 << u
     best = [0] * (n + 1)
     for sub in range(1 << n):
         t = sub

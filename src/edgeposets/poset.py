@@ -23,7 +23,6 @@ from .errors import (
 )
 
 BOOLEAN_CAP = 16    # boolean_algebra ceiling: 2^16 elements
-REACH_CAP = 4096    # precompute reachability bitsets up to this many elements
 RANK_CAP = 1_000_000  # poset_from_json rejects larger ranks (rank_vector has max rank + 1 entries)
 
 
@@ -107,31 +106,16 @@ class GradedPoset:
     def cover_set(self):
         return frozenset(self.covers)
 
-    @cached_property
-    def _reach(self):
-        # reach[x] = bitmask of all y with x <= y; built top rank downward.
-        reach = [1 << i for i in range(self.n)]
-        order = sorted(range(self.n), key=lambda i: -self.ranks[i])
-        up = self.up
-        for x in order:
-            acc = reach[x]
-            for y in up[x]:
-                acc |= reach[y]
-            reach[x] = acc
-        return reach
-
     def leq(self, x, y):
-        """True iff x <= y, i.e. y is reachable from x along covers (or x == y)."""
+        """True iff x <= y: y is reachable from x along covers (or x == y),
+        by an upward search that stops below y's rank."""
         if not (0 <= x < self.n and 0 <= y < self.n):
             raise IndexOutOfRange(f"element out of range: {x}, {y}")
         if x == y:
             return True
-        if self.ranks[x] >= self.ranks[y]:
-            return False
-        if self.n <= REACH_CAP:
-            return (self._reach[x] >> y) & 1 == 1
-        # per-query upward search for very large posets
         target_rank = self.ranks[y]
+        if self.ranks[x] >= target_rank:
+            return False
         frontier = [x]
         seen = {x}
         while frontier:

@@ -478,6 +478,36 @@ class TestQuotient:
         assert code == 0
         assert json.loads(out)["order"] == 4
 
+    def test_padded_named_group_matches_gens_file(self, tmp_path, capsys):
+        # cyclic:3 padded to 5 points (_pad_group) is <(1 2 3)> on B_5
+        path = tmp_path / "g.txt"
+        path.write_text("(1 2 3)\n")
+        named = run(capsys, "quotient", "--group", "cyclic:3", "--n", "5")
+        from_file = run(capsys, "quotient", "--gens", str(path), "--n", "5")
+        assert named[0] == from_file[0] == 0
+        records = [json.loads(out) for _, out, _ in (named, from_file)]
+        for rec in records:
+            del rec["seconds"]
+        assert records[0] == records[1] and records[0]["degree"] == 5
+
+    def test_csv_carries_the_flattened_record(self, capsys):
+        def flat(value, prefix):
+            if not isinstance(value, dict):
+                return {prefix: value}
+            return {k: v for key, sub in value.items()
+                    for k, v in flat(sub, f"{prefix}.{key}" if prefix else key).items()}
+
+        argv = ["quotient", "--group", "cyclic:3", "--n", "5"]
+        _, out, _ = run(capsys, *argv)
+        code, csv_out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        want = flat(json.loads(out), "")
+        rows = list(csv.DictReader(io.StringIO(csv_out)))
+        assert len(rows) == 1 and list(rows[0]) == list(want)
+        for key in ("group", "order", "degree", "cct", "rank_vector_edge_quotient"):
+            value = want[key]
+            assert rows[0][key] == (json.dumps(value) if isinstance(value, list) else str(value))
+
     def test_missing_group_exits_2(self, capsys):
         code, _, _ = run(capsys, "quotient", "--n", "3")
         assert code == 2
@@ -670,6 +700,24 @@ class TestSweep:
             lines.append(json.dumps(record) + "\n")
         assert "".join(lines).encode() == (DATA / f"sweep_n{n}.jsonl").read_bytes()
 
+    def test_counterexample_exits_1_and_names_the_class(self, tmp_path, capsys, monkeypatch):
+        # a record whose E(B_n/G) fails Peck would refute the conjecture
+        real = cli.sweep_records
+
+        def first_fails(n, **kwargs):
+            records = real(n, **kwargs)
+            peck = {**records[0].peck_quotient_edge, "peck": False}
+            records[0] = dataclasses.replace(records[0], peck_quotient_edge=peck)
+            return records
+
+        monkeypatch.setattr(cli, "sweep_records", first_fails)
+        target = tmp_path / "records.jsonl"
+        code, out, err = run(capsys, "sweep", "--n", "3", "--out", str(target))
+        assert code == 1 and out == ""
+        records = [json.loads(line) for line in target.read_text().splitlines()]
+        assert [r["peck_quotient_edge"]["peck"] for r in records] == [False, True, True, True]
+        assert "COUNTEREXAMPLE: E(B_n/G) fails Peck for:\n  n=3 G=() (order 1)\n" in err
+
     def test_consistency_guard_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "peck_report", lambda P: {"peck": False})
         code, _, err = run(capsys, "sweep", "--n", "1")
@@ -735,6 +783,31 @@ def test_env_format_outside_choices_exits_2(argv, value, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("usage:")
     assert f"argument --format: invalid choice: '{value}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "bn:abc"],
+        ["check", "{truncated}"],
+        ["quotient", "--group", "trivial"],
+        ["quotient", "--group", "cyclic"],
+        ["quotient", "--group", "elementary-abelian-2:3"],
+        ["quotient", "--group", "cyclic:x"],
+        ["quotient", "--gens", "{missing}"],
+    ],
+    ids=[
+        "bn-not-int", "truncated-json", "trivial-without-n", "no-params",
+        "elementary-abelian-by-name", "param-not-int", "missing-gens-file",
+    ],
+)
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"ranks": [0, 1], "covers": [[0, ')
+    files = {"{truncated}": str(truncated), "{missing}": str(tmp_path / "missing.txt")}
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

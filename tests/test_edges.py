@@ -6,7 +6,7 @@ from hypothesis import given
 import edgeposets as ep
 from edgeposets.catalog import fig1_edge_expected, fig1_poset, fig2_poset
 
-from edgeposets.edges import _edge_pairs, _edge_position
+from edgeposets.edges import _edge_pairs, _edge_positions
 
 from conftest import graded_posets, inflate, random_graded_poset, shuffle_poset
 
@@ -55,8 +55,9 @@ class TestEdgePairs:
             P = shuffle_poset(rng, random_graded_poset(rng, max_ranks=5, max_width=5))
             want = tuple(sorted(P.covers, key=lambda c: (P.ranks[c[0]], c[0], c[1])))
             assert _edge_pairs(P) == want
-            position = _edge_position(P)
-            assert [position(x, y) for x, y in want] == list(range(len(want)))
+            edge_at = _edge_positions(P, want)
+            at = {(x, y): i for x in range(P.n) for y, i in edge_at[x].items()}
+            assert at == {pair: i for i, pair in enumerate(want)}
 
 
 class TestHPoset:

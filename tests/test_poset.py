@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -130,6 +131,17 @@ class TestLeq:
             for y in range(P.n):
                 assert P.leq(x, y) == ((x, y) in rel)
 
+    def test_boolean_13_matches_inclusion(self):
+        # 8,192 elements: leq against set inclusion
+        P = ep.boolean_algebra(13)
+        rng = random.Random(13)
+        top = P.n - 1
+        pairs = [(0, 0), (top, top), (0, top), (top, 0), (0, 4321), (4321, top)]
+        for _ in range(150):
+            x = rng.randrange(P.n)
+            pairs += [(x, x), (x, rng.randrange(P.n)), (x, x | rng.randrange(P.n))]
+        assert all(P.leq(x, y) == (x & y == x) for x, y in pairs)
+
 
 class TestDual:
     def test_chain_self_dual(self):
@@ -212,6 +224,21 @@ class TestIsomorphism:
         crown = ep.GradedPoset([0, 0, 1, 1], [(0, 2), (0, 3), (1, 2), (1, 3)])
         chains = ep.GradedPoset([0, 0, 1, 1], [(0, 2), (1, 3)])
         assert not ep.is_isomorphic(crown, chains)[0]
+
+    def test_search_exhausted(self):
+        # a 12-cycle against two 6-cycles, each zigzagging between ranks 0
+        # and 1: every element keeps one refined colour, so only the
+        # backtracking search, run to its end, tells them apart
+        def cycles(*lengths):
+            n = sum(lengths) // 2
+            covers, base = [], 0
+            for m in (length // 2 for length in lengths):
+                for i in range(m):
+                    covers += [(base + i, n + base + i), (base + i, n + base + (i - 1) % m)]
+                base += m
+            return ep.GradedPoset([0] * n + [1] * n, covers)
+
+        assert ep.is_isomorphic(cycles(12), cycles(6, 6)) == (False, None)
 
 
 class TestMorphism:
