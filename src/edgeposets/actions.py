@@ -156,14 +156,15 @@ class PosetAction:
         are read off the representatives alone.  E(P/G) is built in full.  q
         sends the orbit of an edge (x, y) to the edge (orbit x, orbit y).
         """
-        quot = quotient(self)
+        quot = quotient(self).poset
+        orbit_of = self.orbit_of
         pairs = _edge_pairs(self.poset)
         eq = _edge_quotient(self, pairs)
-        qe = edge_poset(quot.poset)
+        qe = edge_poset(quot)
         image = []
         for rep in eq.reps:
             x, y = pairs[rep]
-            image.append(qe.index[(quot.orbit_of[x], quot.orbit_of[y])])
+            image.append(qe.edge_at[orbit_of[x]][orbit_of[y]])
         f = PosetMorphism(eq.poset, qe.poset, image)
         if len(set(image)) != qe.poset.n:
             raise InternalInconsistency("q failed to be surjective")
@@ -241,7 +242,7 @@ def action_on_edges(A, which="E"):
         raise InvalidParams("which must be 'E' or 'H'")
     maps = []
     for m in A.gen_maps:
-        maps.append(tuple(ep.index[(m[x], m[y])] for x, y in ep.pairs))
+        maps.append(tuple(ep.edge_at[m[x]][m[y]] for x, y in ep.pairs))
     return PosetAction._trusted(A.group, ep.poset, maps), ep
 
 
@@ -307,7 +308,7 @@ class QMap:
     isomorphism: bool
     edge_quotient: EdgeQuotient   # E(P)/G
     quotient_edges: EdgePoset     # E(P/G)
-    base_quotient: QuotientPoset  # P/G
+    base_quotient: GradedPoset    # P/G: element o is orbit o of the action
 
 
 def q_map(A):
@@ -403,7 +404,7 @@ def product_action(A, B):
     An action by automorphisms: (g, h) -> m_g x m_h, over direct_product's
     generators (G's, then H's), is one because A and B are."""
     G = direct_product(A.group, B.group)
-    P = combine(A.poset, B.poset, "cartesian-product")
+    P = combine(A.poset, B.poset)
     qn = B.poset.n
     maps = []
     for m in A.gen_maps:
@@ -459,9 +460,9 @@ def complement_self_duality(A):
         raise InvalidParams("requires an induced action on a boolean algebra")
     n = A.poset.n.bit_length() - 1
     full = (1 << n) - 1
-    quot, eq, qe = A.q.base_quotient, A.q.edge_quotient, A.q.quotient_edges
-    comp_orbit = [quot.orbit_of[full ^ quot.reps[o]] for o in range(quot.poset.n)]
-    image = [qe.index[(comp_orbit[oy], comp_orbit[ox])] for ox, oy in qe.pairs]
+    eq, qe = A.q.edge_quotient, A.q.quotient_edges
+    comp_orbit = [A.orbit_of[full ^ rep] for rep in A.orbit_reps]
+    image = [qe.edge_at[comp_orbit[oy]][comp_orbit[ox]] for ox, oy in qe.pairs]
     f_qe = PosetMorphism(qe.poset, qe.poset.dual(), image)
     if not f_qe.is_isomorphism():
         raise InternalInconsistency("E(B_n/G) complement witness is not an isomorphism")

@@ -23,8 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
-from itertools import accumulate
 
 from . import catalog
 from .actions import (
@@ -36,6 +34,7 @@ from .actions import (
 from .edges import edge_poset, h_poset
 from .errors import EdgePosetsError, InternalInconsistency, InvalidInput
 from .peck import (
+    is_strongly_sperner,
     is_unitary_peck,
     lefschetz_power_rank,
     max_k_antichain_union,
@@ -183,11 +182,9 @@ def run_checks(P, source, view, checks, edges):
             ranks = {str(i): lefschetz_power_rank(P, i) for i in range((n + 1) // 2)}
             entry = {"passed": is_unitary_peck(P), "lefschetz_ranks": ranks}
         elif name == "sperner":
-            # strongly Sperner: each d_k is the sum of the k largest ranks
             ks = range(1, len(P.rank_vector) + 1)
             table = {str(k): max_k_antichain_union(P, k) for k in ks}
-            largest = accumulate(sorted(P.rank_vector, reverse=True))
-            entry = {"passed": list(table.values()) == list(largest), "d_table": table}
+            entry = {"passed": is_strongly_sperner(P), "d_table": table}
         elif name == "self-dual":
             entry = {"passed": is_self_dual(P)}
         elif name == "scd":
@@ -219,29 +216,10 @@ def _scd_chain_count(source, view, edges):
 # -- action records -----------------------------------------------------------
 
 
-@dataclass
-class SweepRecord:
-    """One action on B_n, fully analyzed: CCT verdicts by all four methods,
-    rank vectors of the three derived posets, Peck data of E(B_n/G), and the
-    comparison-map flags."""
-
-    group: str
-    order: int
-    degree: int
-    cct: bool
-    cct_witness: dict | None
-    cct_methods: dict
-    rank_vector_quotient: list
-    rank_vector_edge_quotient: list
-    rank_vector_quotient_edge: list
-    peck_quotient_edge: dict
-    q_bijective: bool
-    q_is_isomorphism: bool
-    seconds: float
-
-
 def action_record(G):
-    """Analyze the induced action of G on B_{deg G} and bundle the results."""
+    """The record of the induced action of G on B_{deg G}, as the dict it is
+    printed as: CCT verdicts by all four methods, rank vectors of the three
+    derived posets, Peck data of E(B_n/G), and the comparison-map flags."""
     start = time.perf_counter()
     A = induced_bn_action(G)
     verdicts = {}
@@ -266,29 +244,21 @@ def action_record(G):
         raise InternalInconsistency(
             f"CCT action {G.generator_string()} with non-Peck quotient edge poset"
         )
-    # q's base quotient refers back to A; dropping A's cached q breaks that
-    # cycle, so both are freed on return, not at the next full collection
-    del A.q
-    return SweepRecord(
-        group=G.generator_string(),
-        order=G.order,
-        degree=G.degree,
-        cct=verdicts["direct"],
-        cct_witness=witness,
-        cct_methods=verdicts,
-        rank_vector_quotient=list(qm.base_quotient.poset.rank_vector),
-        rank_vector_edge_quotient=list(qm.edge_quotient.poset.rank_vector),
-        rank_vector_quotient_edge=list(quotient_edge.rank_vector),
-        peck_quotient_edge=peck,
-        q_bijective=qm.bijective,
-        q_is_isomorphism=qm.isomorphism,
-        seconds=round(time.perf_counter() - start, 6),
-    )
-
-
-def _sweep_worker(args):
-    degree, images = args
-    return action_record(PermGroup(degree, [Permutation(im) for im in images]))
+    return {
+        "group": G.generator_string(),
+        "order": G.order,
+        "degree": G.degree,
+        "cct": verdicts["direct"],
+        "cct_witness": witness,
+        "cct_methods": verdicts,
+        "rank_vector_quotient": list(qm.base_quotient.rank_vector),
+        "rank_vector_edge_quotient": list(qm.edge_quotient.poset.rank_vector),
+        "rank_vector_quotient_edge": list(quotient_edge.rank_vector),
+        "peck_quotient_edge": peck,
+        "q_bijective": qm.bijective,
+        "q_is_isomorphism": qm.isomorphism,
+        "seconds": round(time.perf_counter() - start, 6),
+    }
 
 
 def sweep_records(n, jobs=1, groups=None):
@@ -301,12 +271,11 @@ def sweep_records(n, jobs=1, groups=None):
     if workers > 1:
         import concurrent.futures  # only here: it also imports logging
 
-        tasks = [(G.degree, [g.images for g in G.generators]) for G in groups]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_worker, tasks))
+            records = list(pool.map(action_record, groups))
     else:
         records = [action_record(G) for G in groups]
-    records.sort(key=lambda r: (r.order, r.group))
+    records.sort(key=lambda r: (r["order"], r["group"]))
     return records
 
 
@@ -434,16 +403,15 @@ def cmd_check(args):
 def cmd_quotient(args):
     G = load_group(args.group, args.gens, args.n)
     record = action_record(G)
-    out = asdict(record)
     # H(B_n) has the elements and ranks of E(B_n), and G induces the same maps
     # on both; a quotient's rank vector reads no covers, so H(B_n)/G has the
     # rank vector of E(B_n)/G
-    out["rank_vector_h_quotient"] = out["rank_vector_edge_quotient"][:]
+    record["rank_vector_h_quotient"] = record["rank_vector_edge_quotient"]
     if args.format == "csv":
-        _emit(records_to_csv([out]), args.out)
+        _emit(records_to_csv([record]), args.out)
     else:
-        _emit(json.dumps(out, indent=2) + "\n", args.out)
-    return 0 if record.peck_quotient_edge["peck"] else 1
+        _emit(json.dumps(record, indent=2) + "\n", args.out)
+    return 0 if record["peck_quotient_edge"]["peck"] else 1
 
 
 def cmd_sweep(args):
@@ -457,16 +425,15 @@ def cmd_sweep(args):
             f"exhaustive sweep supports n <= {SWEEP_MAX_N}; pass --gens for larger n"
         )
     records = sweep_records(args.n, jobs=args.jobs, groups=groups)
-    dicts = [asdict(r) for r in records]
     if args.format == "csv":
-        _emit(records_to_csv(dicts), args.out)
+        _emit(records_to_csv(records), args.out)
     else:
-        _emit("".join(json.dumps(d) + "\n" for d in dicts), args.out)
-    failures = [r for r in records if not r.peck_quotient_edge["peck"]]
+        _emit("".join(json.dumps(r) + "\n" for r in records), args.out)
+    failures = [r for r in records if not r["peck_quotient_edge"]["peck"]]
     if failures:
         banner = "=" * 60 + "\nCOUNTEREXAMPLE: E(B_n/G) fails Peck for:\n"
         for r in failures:
-            banner += f"  n={r.degree} G={r.group} (order {r.order})\n"
+            banner += f"  n={r['degree']} G={r['group']} (order {r['order']})\n"
         banner += "=" * 60 + "\n"
         sys.stderr.write(banner)
         return 1

@@ -26,14 +26,15 @@ class EdgePoset:
 
     pairs[i] is the (low, high) cover of the source poset that element i
     stands for; pairs are canonically sorted by (rank, low, high) so the
-    construction is deterministic.
+    construction is deterministic.  edge_at[x][y] is the element that the
+    cover (x, y) stands for (_edge_positions).
     """
 
-    def __init__(self, source, poset, pairs):
+    def __init__(self, source, poset, pairs, edge_at):
         self.source = source
         self.poset = poset
         self.pairs = pairs
-        self.index = {pair: i for i, pair in enumerate(pairs)}
+        self.edge_at = edge_at
 
     def __repr__(self):
         return f"EdgePoset(elements={len(self.pairs)})"
@@ -77,10 +78,11 @@ def _edge_covers(P, pairs, edge_at, relaxed):
 
 def _build(P, relaxed):
     pairs = _edge_pairs(P)
+    edge_at = _edge_positions(P, pairs)
     ranks = tuple(P.ranks[x] for x, _ in pairs)
-    covers = _edge_covers(P, pairs, _edge_positions(P, pairs), relaxed)
+    covers = _edge_covers(P, pairs, edge_at, relaxed)
     labels = tuple(f"({P.label(x)},{P.label(y)})" for x, y in pairs)
-    return EdgePoset(P, GradedPoset(ranks, covers, labels), pairs)
+    return EdgePoset(P, GradedPoset(ranks, covers, labels), pairs, edge_at)
 
 
 def edge_poset(P):
@@ -102,7 +104,7 @@ def edge_map(f):
     covers, so every image pair is an element of E(f.target).
     """
     es, et = edge_poset(f.source), edge_poset(f.target)
-    return PosetMorphism(es.poset, et.poset, [et.index[(f(x), f(y))] for x, y in es.pairs])
+    return PosetMorphism(es.poset, et.poset, [et.edge_at[f(x)][f(y)] for x, y in es.pairs])
 
 
 def naive_edge_relation_is_graded(P):
@@ -177,7 +179,7 @@ def edge_dual_witness(P):
     ed = edge_poset(Pd)
     e = edge_poset(P)
     target = e.poset.dual()
-    image = [e.index[(y, x)] for x, y in ed.pairs]
+    image = [e.edge_at[y][x] for x, y in ed.pairs]
     f = PosetMorphism(ed.poset, target, image)
     if not f.is_isomorphism():
         raise InternalInconsistency("edge/dual commuting witness is not an isomorphism")

@@ -10,6 +10,7 @@ affect semantics.
 from __future__ import annotations
 
 from collections import defaultdict
+from heapq import heappop, heappush
 from functools import cached_property
 
 from .errors import (
@@ -179,29 +180,23 @@ def mask_to_points(mask):
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
-def combine(P, Q, mode):
-    """Cartesian product of two posets (mode "cartesian-product", the only
-    mode; disjoint unions are disjoint_union's).
+def combine(P, Q):
+    """Cartesian product of two posets, the only combination (disjoint unions
+    are disjoint_union's).
 
     Product elements are pairs (p, q) indexed p * Q.n + q with rank the sum of
     coordinate ranks; product covers change exactly one coordinate by a cover.
     """
-    if mode == "cartesian-product":
-        ranks = [P.ranks[i] + Q.ranks[j] for i in range(P.n) for j in range(Q.n)]
-        covers = []
-        for x, y in P.covers:
-            covers.extend((x * Q.n + j, y * Q.n + j) for j in range(Q.n))
-        for x, y in Q.covers:
-            covers.extend((i * Q.n + x, i * Q.n + y) for i in range(P.n))
-        labels = None
-        if P.labels is not None and Q.labels is not None:
-            labels = tuple(
-                f"({P.labels[i]},{Q.labels[j]})"
-                for i in range(P.n)
-                for j in range(Q.n)
-            )
-        return GradedPoset(ranks, covers, labels)
-    raise InvalidParams(f"unknown combine mode {mode!r}")
+    ranks = [P.ranks[i] + Q.ranks[j] for i in range(P.n) for j in range(Q.n)]
+    covers = []
+    for x, y in P.covers:
+        covers.extend((x * Q.n + j, y * Q.n + j) for j in range(Q.n))
+    for x, y in Q.covers:
+        covers.extend((i * Q.n + x, i * Q.n + y) for i in range(P.n))
+    labels = None
+    if P.labels is not None and Q.labels is not None:
+        labels = tuple(f"({P.labels[i]},{Q.labels[j]})" for i in range(P.n) for j in range(Q.n))
+    return GradedPoset(ranks, covers, labels)
 
 
 def disjoint_union(posets):
@@ -243,7 +238,10 @@ def is_isomorphic(P, Q):
     inverse.  Returns (found, mapping) with mapping[i] the image of element i.
 
     Backtracking with rank-vector, degree, and refined-color pruning; intended
-    for desk-scale operands (keep below ~2000 elements).
+    for desk-scale operands (keep below ~2000 elements).  Elements are placed
+    in a fixed order: the most constrained unplaced element next to a placed
+    one, else the most constrained of all.  One placed neighbour, its anchor,
+    limits an element's candidates to the covers of the anchor's image.
     """
     if P.n != Q.n or len(P.covers) != len(Q.covers):
         return False, None
@@ -258,9 +256,24 @@ def is_isomorphic(P, Q):
     cand = defaultdict(list)
     for j in range(Q.n):
         cand[(Q.ranks[j], cq[j])].append(j)
-    order = sorted(
-        range(P.n), key=lambda i: (len(cand[(P.ranks[i], cp[i])]), P.ranks[i], i)
-    )
+
+    def key(i):
+        return len(cand[(P.ranks[i], cp[i])]), P.ranks[i], i
+
+    # each element enters the heap once, when its first neighbour is placed,
+    # and leaves it when placed itself
+    order, anchor = [], [None] * P.n
+    fallback = iter(sorted(range(P.n), key=key))
+    frontier = []  # heap of (key, element): unplaced, next to a placed element
+    placed = [False] * P.n
+    while len(order) < P.n:
+        p = heappop(frontier)[1] if frontier else next(x for x in fallback if not placed[x])
+        placed[p] = True
+        order.append(p)
+        for v in P.up[p] + P.down[p]:
+            if anchor[v] is None and not placed[v]:
+                anchor[v] = p
+                heappush(frontier, (key(v), v))
     mapping = [-1] * P.n
     used = [False] * Q.n
     qcovers = Q.cover_set
@@ -280,7 +293,12 @@ def is_isomorphic(P, Q):
         if mapping[p] != -1:
             used[mapping[p]] = False
             mapping[p] = -1
-        options = cand[(P.ranks[p], cp[p])]
+        a = anchor[p]
+        if a is None:
+            options = cand[(P.ranks[p], cp[p])]
+        else:
+            near = Q.up[mapping[a]] if P.ranks[p] > P.ranks[a] else Q.down[mapping[a]]
+            options = [j for j in near if cq[j] == cp[p]]
         i = stack[pos]
         while i < len(options) and (used[options[i]] or not fits(p, options[i])):
             i += 1

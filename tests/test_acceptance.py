@@ -273,10 +273,10 @@ def test_13_conjecture_sweep():
         records = sweep_records(n)  # raises on any internal-consistency violation
         ok = ok and len(records) == expected_classes[n]
         for rec in records:
-            ok = ok and rec.peck_quotient_edge["peck"]
-            ok = ok and len(set(rec.cct_methods.values())) == 1
-            if rec.cct:
-                ok = ok and rec.peck_quotient_edge["peck"]
+            ok = ok and rec["peck_quotient_edge"]["peck"]
+            ok = ok and len(set(rec["cct_methods"].values())) == 1
+            if rec["cct"]:
+                ok = ok and rec["peck_quotient_edge"]["peck"]
     report(13, "conjecture-sweep", ok)
 
 

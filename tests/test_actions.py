@@ -77,7 +77,7 @@ def coordinate_wreath_action(A, l):
     P = A.poset
     power = P
     for _ in range(l - 1):
-        power = ep.combine(power, P, "cartesian-product")
+        power = ep.combine(power, P)
     n = P.n
 
     def decode(t):
@@ -400,7 +400,7 @@ class TestQMap:
         with pytest.raises(InvalidParams, match="not a bijection"):
             ep.PosetAction(G, ep.boolean_algebra(2), [bad])
         E = ep.edge_poset(ep.boolean_algebra(2))
-        edge_map = tuple(E.index[(bad[x], bad[y])] for x, y in E.pairs)
+        edge_map = tuple(E.edge_at[bad[x]][bad[y]] for x, y in E.pairs)
         with pytest.raises(InvalidParams, match="not a bijection"):
             ep.PosetAction(G, E.poset, [edge_map])
 
@@ -677,12 +677,11 @@ class TestQNotIsomorphism:
         # are related in E(B_10/G) but not in E(B_10)/G  (sets 1-indexed)
         x, y, a, b = 0b1010, 0b1011, 0b1001010, 0b1101010
         _, epos = action_on_edges(A, "E")
-        quot = qm.base_quotient
         eq = qm.edge_quotient
         qe = qm.quotient_edges
-        left = qe.index[(quot.orbit_of[x], quot.orbit_of[y])]
-        right = qe.index[(quot.orbit_of[a], quot.orbit_of[b])]
+        left = qe.edge_at[A.orbit_of[x]][A.orbit_of[y]]
+        right = qe.edge_at[A.orbit_of[a]][A.orbit_of[b]]
         assert qe.poset.leq(left, right)
-        o1 = eq.orbit_of[epos.index[(x, y)]]
-        o2 = eq.orbit_of[epos.index[(a, b)]]
+        o1 = eq.orbit_of[epos.edge_at[x][y]]
+        o2 = eq.orbit_of[epos.edge_at[a][b]]
         assert not eq.poset.leq(o1, o2)

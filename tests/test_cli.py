@@ -1,10 +1,11 @@
 import concurrent.futures
 import contextlib
 import csv
-import dataclasses
+import gc
 import io
 import json
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,15 @@ class TestCheck:
         report = json.loads(out)
         assert report["checks"]["self-dual"]["passed"] is True
         assert report["checks"]["sperner"]["d_table"]["1"] == 2
+
+    def test_sperner_fails_on_h_of_fig2(self, capsys):
+        # H(fig2) has rank vector (3, 2, 3) and no covers: one antichain of 8
+        code, out, _ = run(capsys, "check", "fig2", "--hpos", "--checks=sperner")
+        assert code == 1
+        assert json.loads(out)["checks"]["sperner"] == {
+            "passed": False,
+            "d_table": {"1": 8, "2": 8, "3": 8},
+        }
 
     def test_scd_views(self, capsys):
         for view, chains in (([], 10), (["--hpos"], 30), (["--edge"], 30)):
@@ -424,6 +434,20 @@ class TestQuotient:
         assert code == 3 and out == ""
         assert "internal inconsistency: CCT action" in err
 
+    def test_disagreeing_cct_methods_exit_3(self, capsys, monkeypatch):
+        # the four CCT tests are equivalent, so a split verdict is a bug
+        real = cli.is_cct
+
+        def flipped(A, method):
+            res = real(A, method)
+            return res._replace(ok=not res.ok) if method == "rank-counts" else res
+
+        monkeypatch.setattr(cli, "is_cct", flipped)
+        code, out, err = run(capsys, "quotient", "--group", "cyclic:4")
+        assert code == 3 and out == ""
+        assert "internal inconsistency: CCT methods disagree" in err
+        assert "Traceback" not in err
+
     def test_dihedral9(self, capsys):
         code, out, _ = run(capsys, "quotient", "--group", "dihedral:9", "--n", "9")
         assert code == 0  # quotient edge poset is still Peck
@@ -706,8 +730,8 @@ class TestSweep:
 
         def first_fails(n, **kwargs):
             records = real(n, **kwargs)
-            peck = {**records[0].peck_quotient_edge, "peck": False}
-            records[0] = dataclasses.replace(records[0], peck_quotient_edge=peck)
+            peck = {**records[0]["peck_quotient_edge"], "peck": False}
+            records[0] = {**records[0], "peck_quotient_edge": peck}
             return records
 
         monkeypatch.setattr(cli, "sweep_records", first_fails)
@@ -758,9 +782,8 @@ class TestSweep:
             groups.append(ep.PermGroup(7, [ep.Permutation.from_cycles(c, 7) for c in cycles]))
         lines = []
         for record in cli.sweep_records(7, groups=groups):
-            d = dataclasses.asdict(record)
-            del d["seconds"]
-            lines.append(json.dumps(d) + "\n")
+            del record["seconds"]
+            lines.append(json.dumps(record) + "\n")
         assert lines == pinned
 
 
@@ -867,22 +890,43 @@ class TestActionRecord:
         built = []
         real = peck._MinCostFlow
         monkeypatch.setattr(peck, "_MinCostFlow", lambda n: built.append(n) or real(n))
-        report = cli.action_record(G).peck_quotient_edge
+        report = cli.action_record(G)["peck_quotient_edge"]
         assert built == []
         assert report["unitary_peck"] is unitary
         assert report["peck"] and report["strongly_sperner"]
 
     def test_failed_weighted_draw_falls_back_to_the_flow(self, monkeypatch):
         G = ep.PermGroup(4, [ep.Permutation([1, 0, 3, 2])])
-        expected = cli.action_record(G).peck_quotient_edge
+        expected = cli.action_record(G)["peck_quotient_edge"]
         built = []
         real = peck._MinCostFlow
         monkeypatch.setattr(peck, "_MinCostFlow", lambda n: built.append(n) or real(n))
         # all-ones weights are the unitary map, whose powers do not all have full rank
         monkeypatch.setattr(peck, "_cover_weights", lambda P: [[1] * len(xs) for xs in P.down])
-        report = cli.action_record(G).peck_quotient_edge
+        report = cli.action_record(G)["peck_quotient_edge"]
         assert len(built) == 1
         assert report == expected
+
+    def test_action_is_freed_on_return(self, monkeypatch):
+        # q holds P/G's poset, not an object pointing back at the action, so
+        # no reference cycle keeps the action alive after the record is made
+        refs = []
+        real = cli.induced_bn_action
+
+        def tracked(G):
+            A = real(G)
+            refs.append(weakref.ref(A))
+            return A
+
+        monkeypatch.setattr(cli, "induced_bn_action", tracked)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cli.action_record(ep.dihedral(5))
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestPak:

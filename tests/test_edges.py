@@ -27,7 +27,7 @@ class TestEdgePoset:
         found, _ = ep.is_isomorphic(e.poset, expected)
         assert found
         # the two crossing covers out of the bottom edge (0,1)
-        i01, i13, i23 = e.index[(0, 1)], e.index[(1, 3)], e.index[(2, 3)]
+        i01, i13, i23 = e.edge_at[0][1], e.edge_at[1][3], e.edge_at[2][3]
         assert (i01, i13) in e.poset.cover_set
         assert (i01, i23) in e.poset.cover_set
 

@@ -318,6 +318,23 @@ class TestModularRank:
         assert len(fallbacks) == 4 and all(a is b for a, b in zip(built, ranked))
         assert ranks == [BAREISS(M) for M in built] == [1, 1]
 
+    def test_reconstruction_past_the_bound_is_none(self):
+        # 725 = 725/1 has a numerator past the bound 724, and the next
+        # remainder, 223, needs the denominator 1446
+        assert peck._RECON_BOUND == 724
+        assert peck._rational(725) is None
+        assert peck._integer_vector([0, 725]) is None
+
+    def test_failed_reconstruction_falls_back(self, fallbacks, monkeypatch):
+        # no kernel vector is reconstructed, so every rank drop reaches
+        # Bareiss elimination on the dense power
+        monkeypatch.setattr(peck, "_rational", lambda a: None)
+        P = complete_layered(3, 4)  # not unitary Peck: each power has rank 1 < 3
+        ranks = [peck.lefschetz_power_rank(P, i) for i in range(2)]
+        built, ranked = fallbacks[::2], fallbacks[1::2]
+        assert len(fallbacks) == 4 and all(a is b for a, b in zip(built, ranked))
+        assert ranks == [BAREISS(M) for M in built] == [1, 1]
+
     def test_entries_all_multiples_of_p_fall_back(self, fallbacks):
         # a binary ladder: A_r and B_r each lie on N_r chains from the bottom,
         # O_r on one, and A_{r+1}, B_{r+1} cover A_r, B_r (and O_r for a one

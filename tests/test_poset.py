@@ -163,7 +163,7 @@ class TestDual:
 
 class TestCombine:
     def test_product_of_b1s_is_b2(self):
-        P = ep.combine(ep.boolean_algebra(1), ep.boolean_algebra(1), "cartesian-product")
+        P = ep.combine(ep.boolean_algebra(1), ep.boolean_algebra(1))
         assert ep.is_isomorphic(P, ep.boolean_algebra(2))[0]
 
     def test_triple_b2_disjoint_union(self):
@@ -171,19 +171,13 @@ class TestCombine:
         P = ep.disjoint_union([b2, b2, b2])
         assert P.rank_vector == (3, 6, 3)
 
-    @pytest.mark.parametrize("mode", ["disjoint-union", "sum"])
-    def test_unknown_mode(self, mode):
-        # disjoint unions are disjoint_union's; combine only takes products
-        with pytest.raises(InvalidParams):
-            ep.combine(ep.chain(2), ep.chain(2), mode)
-
     def test_chain_product_rank_vector(self):
-        P = ep.combine(ep.chain(3), ep.chain(3), "cartesian-product")
+        P = ep.combine(ep.chain(3), ep.chain(3))
         assert P.rank_vector == (1, 2, 3, 2, 1)
 
     @given(graded_posets(max_ranks=3, max_width=3), graded_posets(max_ranks=3, max_width=3))
     def test_product_rank_vector_is_convolution(self, P, Q):
-        R = ep.combine(P, Q, "cartesian-product")
+        R = ep.combine(P, Q)
         a, b = P.rank_vector, Q.rank_vector
         conv = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -239,6 +233,23 @@ class TestIsomorphism:
             return ep.GradedPoset([0] * n + [1] * n, covers)
 
         assert ep.is_isomorphic(cycles(12), cycles(6, 6)) == (False, None)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_cycle_against_two_cycles_by_incidence(self, k):
+        # vertex/edge incidence posets of C_2k and 2 C_k: colour refinement
+        # splits nothing, so only placing each element next to a placed one
+        # keeps the search from trying every placement of rank 0
+        def incidence(*lengths):
+            n = sum(lengths)
+            covers, base = [], 0
+            for m in lengths:
+                for i in range(m):
+                    covers += [(base + i, n + base + i), (base + (i + 1) % m, n + base + i)]
+                base += m
+            return ep.GradedPoset([0] * n + [1] * n, covers)
+
+        assert ep.is_isomorphic(incidence(2 * k), incidence(k, k)) == (False, None)
+        assert ep.is_isomorphic(incidence(k, k), incidence(k, k))[0]
 
 
 class TestMorphism:
