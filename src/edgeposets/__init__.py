@@ -5,7 +5,6 @@ Peck/Sperner verification."""
 from .actions import (
     CCTResult,
     PosetAction,
-    QuotientPoset,
     action_on_edges,
     check_cct_triple,
     complement_self_duality,

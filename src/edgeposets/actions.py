@@ -8,10 +8,10 @@ maps given from outside once, and the package's own constructions store maps
 of a homomorphism G -> Aut(P) unchecked, with the proof in each docstring.
 Nothing downstream checks the action again.
 
-q reads E(P)/G off P's covers and the generator maps (_edge_quotient), with
-its covers from the orbit representatives alone, and the CCT scans read its
-edge orbits: E(P) itself is never built.  action_on_edges still builds E(P)
-or H(P) with the induced action on it, for callers that want all of it.
+q reads E(P)/G off P's covers and the generator maps (_edge_quotient) as an
+EdgePoset whose edge_at gives each edge's orbit, and the CCT scans read that
+table: E(P) itself is never built.  action_on_edges still builds E(P) or H(P)
+with the induced action on it, for callers that want all of it.
 """
 
 from __future__ import annotations
@@ -156,15 +156,11 @@ class PosetAction:
         are read off the representatives alone.  E(P/G) is built in full.  q
         sends the orbit of an edge (x, y) to the edge (orbit x, orbit y).
         """
-        quot = quotient(self).poset
+        quot = quotient(self)
         orbit_of = self.orbit_of
-        pairs = _edge_pairs(self.poset)
-        eq = _edge_quotient(self, pairs)
+        eq = _edge_quotient(self)
         qe = edge_poset(quot)
-        image = []
-        for rep in eq.reps:
-            x, y = pairs[rep]
-            image.append(qe.edge_at[orbit_of[x]][orbit_of[y]])
+        image = [qe.edge_at[orbit_of[x]][orbit_of[y]] for x, y in eq.pairs]
         f = PosetMorphism(eq.poset, qe.poset, image)
         if len(set(image)) != qe.poset.n:
             raise InternalInconsistency("q failed to be surjective")
@@ -172,31 +168,18 @@ class PosetAction:
         return QMap(f, bij, bij and f.is_isomorphism(), eq, qe, quot)
 
 
-@dataclass(frozen=True)
-class QuotientPoset:
-    """Orbits of an action, ordered by comparability of representatives.
-
-    Orbit covers are exactly the images of base covers: every base relation
-    factors through rank steps, so the quotient order is generated by them.
-    """
-
-    action: PosetAction
-    orbit_of: tuple
-    reps: tuple
-    poset: GradedPoset
-
-
 def quotient(A):
-    """P/G, its covers read off the orbit representatives' upper covers: every
-    cover (x', y') is g.(x, y) with x the representative of x''s orbit, and
-    y = g^-1 y' lies in up[x], as g^-1 is an automorphism."""
+    """P/G, element o being orbit o of A (A.orbit_of).  Its covers are read off
+    the orbit representatives' upper covers: every cover (x', y') is g.(x, y)
+    with x the representative of x''s orbit, and y = g^-1 y' lies in up[x],
+    as g^-1 is an automorphism."""
     orbit_of = A.orbit_of
     reps = A.orbit_reps
     P = A.poset
     ranks = tuple(P.ranks[r] for r in reps)
     covers = sorted({(orbit_of[x], orbit_of[y]) for x in reps for y in P.up[x]})
     labels = tuple(f"[{P.label(r)}]" for r in reps)
-    return QuotientPoset(A, orbit_of, reps, GradedPoset(ranks, covers, labels))
+    return GradedPoset(ranks, covers, labels)
 
 
 def induced_bn_action(G):
@@ -246,25 +229,10 @@ def action_on_edges(A, which="E"):
     return PosetAction._trusted(A.group, ep.poset, maps), ep
 
 
-@dataclass(frozen=True)
-class EdgeQuotient:
-    """E(P)/G, read off P without building E(P) (_edge_quotient).
-
-    Edges are numbered by their position in _edge_pairs(P), E(P)'s element
-    order: edge_at[x][y] is that of the edge (x, y) (_edge_positions).
-    orbit_of[i] is the orbit of edge i, numbered by ascending least edge;
-    reps[o] is the least edge of orbit o, and poset's element o is orbit o.
-    """
-
-    orbit_of: tuple  # edge position -> orbit
-    reps: tuple      # orbit -> least edge position
-    poset: GradedPoset
-    edge_at: list    # edge_at[x][y]: position of the edge (x, y)
-
-
-def _edge_quotient(A, pairs):
-    """E(P)/G for the action A on P, from P's covers `pairs` (_edge_pairs(P))
-    and the generator maps, without building E(P).
+def _edge_quotient(A):
+    """E(P)/G for the action A on P, read off P's covers and the generator maps
+    without building E(P): an EdgePoset whose element o is edge orbit o, orbits
+    numbered by ascending least edge, and pairs[o] is that least edge.
 
     Orbits are those of the generators' maps g.(x, y) = (gx, gy) on edges,
     and the quotient's covers are the orbits of E(P)'s covers.  Those are all
@@ -278,17 +246,19 @@ def _edge_quotient(A, pairs):
     is never listed.
     """
     P = A.poset
+    pairs = _edge_pairs(P)
     edge_at = _edge_positions(P, pairs)
     edge_maps = [tuple(edge_at[m[x]][m[y]] for x, y in pairs) for m in A.gen_maps]
-    ranks = [P.ranks[x] for x, _ in pairs]
-    orbit_of = tuple(orbit_labels(edge_maps, len(pairs)))
-    reps = _least_of_each(orbit_of)
-    rep_pairs = [pairs[r] for r in reps]
-    # the covers from representatives; position o in rep_pairs is orbit o
-    covers = {(o, orbit_of[j]) for o, j in _edge_covers(P, rep_pairs, edge_at, False)}
-    labels = tuple(f"[({P.label(x)},{P.label(y)})]" for x, y in rep_pairs)
-    poset = GradedPoset((ranks[r] for r in reps), covers, labels)
-    return EdgeQuotient(orbit_of, reps, poset, edge_at)
+    orbit_of = orbit_labels(edge_maps, len(pairs))
+    reps = tuple(pairs[r] for r in _least_of_each(orbit_of))
+    for row in edge_at:  # positions become orbits, in place
+        for y, i in row.items():
+            row[y] = orbit_of[i]
+    # the covers from representatives; position o in reps is orbit o
+    covers = set(_edge_covers(P, reps, edge_at, False))
+    labels = tuple(f"[({P.label(x)},{P.label(y)})]" for x, y in reps)
+    poset = GradedPoset((P.ranks[x] for x, _ in reps), covers, labels)
+    return EdgePoset(P, poset, reps, edge_at)
 
 
 @dataclass(frozen=True)
@@ -297,16 +267,16 @@ class QMap:
 
     q is always surjective; it is bijective precisely when the action is CCT,
     and even then need not be an isomorphism.  Each action builds its q once
-    (PosetAction.q); the CCT tests (the scans via edge_quotient.orbit_of),
+    (PosetAction.q); the CCT tests (the scans via edge_quotient.edge_at),
     the self-duality witnesses and the CLI records all read that one map and
-    the quotients it carries.  E(P)/G is an EdgeQuotient, whose positions are
-    those of _edge_pairs(P): E(P) is not built, so it carries no action on it.
+    the quotients it carries.  E(P)/G is an EdgePoset whose element o is edge
+    orbit o (_edge_quotient): E(P) is not built, so it carries no action on it.
     """
 
     morphism: PosetMorphism
     bijective: bool
     isomorphism: bool
-    edge_quotient: EdgeQuotient   # E(P)/G
+    edge_quotient: EdgePoset      # E(P)/G: edge_at[x][y] is the orbit of (x, y)
     quotient_edges: EdgePoset     # E(P/G)
     base_quotient: GradedPoset    # P/G: element o is orbit o of the action
 
@@ -358,7 +328,7 @@ def _cct_scan(A, upward):
 
     Covers x, y of z share a Stab(z)-orbit iff the edges joining them to z
     share a G-orbit of E(P), as g carries the one edge to the other iff g
-    fixes z and sends x to y.  q labels those orbits (EdgeQuotient.orbit_of)
+    fixes z and sends x to y.  q labels those orbits (edge_quotient.edge_at)
     by the generators' edge maps, whose orbits are G's as G is finite.
 
     g in G carries the covers of z onto the covers of g.z, and conjugates
@@ -369,13 +339,12 @@ def _cct_scan(A, upward):
     """
     P = A.poset
     orbit_of = A.orbit_of
-    eq = A.q.edge_quotient
-    edge_orbit, edge_at = eq.orbit_of, eq.edge_at
+    edge_at = A.q.edge_quotient.edge_at
     neighbors = P.up if upward else P.down
     name = "dual" if upward else "direct"
     for z in A.orbit_reps:
         adjacent = neighbors[z]
-        classes = [edge_orbit[edge_at[z][x] if upward else edge_at[x][z]] for x in adjacent]
+        classes = [edge_at[z][x] if upward else edge_at[x][z] for x in adjacent]
         for i, x in enumerate(adjacent):
             for j, y in enumerate(adjacent[i + 1 :], i + 1):
                 if orbit_of[x] == orbit_of[y] and classes[i] != classes[j]:
@@ -391,8 +360,8 @@ def check_cct_triple(A, x, y, z):
         raise InvalidParams("x and y must be lower covers of z")
     if A.orbit_of[x] != A.orbit_of[y]:
         raise InvalidParams("x and y must lie in one orbit")
-    eq = A.q.edge_quotient
-    return eq.orbit_of[eq.edge_at[x][z]] == eq.orbit_of[eq.edge_at[y][z]]
+    edge_at = A.q.edge_quotient.edge_at
+    return edge_at[x][z] == edge_at[y][z]
 
 
 # -- constructions of actions ---------------------------------------------------
@@ -467,11 +436,7 @@ def complement_self_duality(A):
     if not f_qe.is_isomorphism():
         raise InternalInconsistency("E(B_n/G) complement witness is not an isomorphism")
 
-    pairs = _edge_pairs(A.poset)  # the elements of E(B_n), in E's order
-    image2 = []
-    for rep in eq.reps:
-        x, y = pairs[rep]
-        image2.append(eq.orbit_of[eq.edge_at[full ^ y][full ^ x]])
+    image2 = [eq.edge_at[full ^ y][full ^ x] for x, y in eq.pairs]
     f_eq = PosetMorphism(eq.poset, eq.poset.dual(), image2)
     if not f_eq.is_isomorphism():
         raise InternalInconsistency("E(B_n)/G complement witness is not an isomorphism")

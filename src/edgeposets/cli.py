@@ -3,8 +3,9 @@ by group actions, sweep subgroup conjugacy classes for Peck failures of the
 quotient edge poset, and print box-partition statistics.
 
 Exit codes: 0 all requested properties hold, 1 some property fails, 2 bad
-input, 3 internal inconsistency (a proved identity failed, or any other
-unexpected exception, i.e. a bug).
+input (an input file that cannot be read or decoded, or an --out that cannot
+be written, included), 3 internal inconsistency (a proved identity failed, or
+any other unexpected exception, i.e. a bug).
 Some flags can also be set through an environment variable named EPL_ plus
 the flag in upper case: --out and --format on every command that has them,
 check's --edge, --hpos and --checks, quotient's --group, --gens and --n, and
@@ -102,7 +103,7 @@ def _load_json(path, what):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {what} {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"bad JSON in {path!r}: {exc}") from exc
@@ -144,7 +145,7 @@ def load_group(spec=None, gens_path=None, n=None):
     try:
         with open(gens_path) as fh:
             perms, degree = parse_generator_lines(fh, degree=n)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read generator file {gens_path!r}: {exc}") from exc
     if n is not None and n < degree:
         raise InvalidInput(f"--n {n} below group degree {degree}")
@@ -310,8 +311,11 @@ def records_to_csv(dicts):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

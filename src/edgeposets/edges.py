@@ -24,10 +24,10 @@ from .poset import (
 class EdgePoset:
     """An edge poset together with its element table.
 
-    pairs[i] is the (low, high) cover of the source poset that element i
-    stands for; pairs are canonically sorted by (rank, low, high) so the
-    construction is deterministic.  edge_at[x][y] is the element that the
-    cover (x, y) stands for (_edge_positions).
+    pairs[i] is the least (low, high) cover of the source poset that element
+    i stands for, and edge_at[x][y] is the element holding the cover (x, y).
+    E(P) and H(P) sort pairs by (rank, low, high) (_edge_pairs); an element
+    of E(P)/G (actions._edge_quotient) stands for an orbit of covers.
     """
 
     def __init__(self, source, poset, pairs, edge_at):
@@ -55,8 +55,8 @@ def _edge_positions(P, pairs):
 
 def _edge_covers(P, pairs, edge_at, relaxed):
     """The covers of E(P), or of H(P) when relaxed, from each edge in `pairs`:
-    (i, j) when pairs[i] is covered by the edge at position j of edge_at
-    (_edge_positions).
+    (i, j) when pairs[i] is covered by an edge (x2, y2) with
+    edge_at[x2][y2] == j.
 
     (x, y) is covered by (x2, y2) when x2 covers x, y2 covers y and (x2, y2)
     is an edge; H(P) also asks x2 != y.

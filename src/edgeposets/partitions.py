@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .actions import QuotientPoset, is_boolean_poset
+from .actions import is_boolean_poset
 from .errors import InternalInconsistency, InvalidParams, TooLarge, WrongGroup
 from .peck import is_unimodal_sequence
 from .perms import symmetric, wreath
@@ -76,23 +76,23 @@ def p_count(k, l, m, r):
     return sum(comb(nu(lam), r) for lam in partitions_in_box(k, l, m))
 
 
-def young_representative(quot: QuotientPoset, orbit: int, l: int, m: int):
-    """The partition whose bottom-left-justified filling represents an orbit of
-    the standard row-wise S_m wr S_l action on B_{l*m}.
+def young_representative(A, orbit: int, l: int, m: int):
+    """The partition whose bottom-left-justified filling represents orbit
+    `orbit` of A, the standard row-wise S_m wr S_l action on B_{l*m}.
 
     Verified: the orbit of the justified filling coincides with the input
     orbit, which pins the grid convention.
     """
-    G = quot.action.group
-    if G.degree != l * m or not is_boolean_poset(quot.action.poset):
+    G = A.group
+    if G.degree != l * m or not is_boolean_poset(A.poset):
         raise WrongGroup(f"expected the standard wreath group on B_{l * m}")
     standard = wreath(symmetric(m), symmetric(l))
     # G <= standard with equal orders means G == standard
     if G.order != standard.order or not all(g in standard for g in G.generators):
         raise WrongGroup("group is not the standard row-wise wreath product")
-    if not 0 <= orbit < quot.poset.n:
+    if not 0 <= orbit < len(A.orbit_reps):
         raise InvalidParams(f"orbit {orbit} out of range")
-    rep = quot.reps[orbit]
+    rep = A.orbit_reps[orbit]
     row_mask = (1 << m) - 1
     fills = sorted(
         ((rep >> (r * m)) & row_mask).bit_count() for r in range(l)
@@ -101,7 +101,7 @@ def young_representative(quot: QuotientPoset, orbit: int, l: int, m: int):
     justified = 0
     for row, part in enumerate(lam.parts):
         justified |= ((1 << part) - 1) << (row * m)
-    if quot.orbit_of[justified] != orbit:
+    if A.orbit_of[justified] != orbit:
         raise InternalInconsistency("justified filling lands in a different orbit")
     return lam
 

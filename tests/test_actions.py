@@ -136,12 +136,14 @@ def assert_q_matches_rebuilt(A):
     """The quotients A's q carries equal E(P)/G rebuilt from E(P) and the
     action on it (ranks, covers, labels, orbit_of and reps) and E(P/G)
     rebuilt from P/G."""
-    old = ep.quotient(action_on_edges(A, "E")[0])
-    rebuilt_qe = ep.edge_poset(ep.quotient(A).poset).poset
+    eact, epos = action_on_edges(A, "E")
+    old = ep.quotient(eact)
+    rebuilt_qe = ep.edge_poset(ep.quotient(A)).poset
     qm = ep.q_map(A)
     new = qm.edge_quotient
-    assert (new.orbit_of, new.reps) == (old.orbit_of, old.reps)
-    for a, b in ((old.poset, new.poset), (rebuilt_qe, qm.quotient_edges.poset)):
+    assert tuple(new.edge_at[x][y] for x, y in epos.pairs) == eact.orbit_of
+    assert new.pairs == tuple(epos.pairs[r] for r in eact.orbit_reps)
+    for a, b in ((old, new.poset), (rebuilt_qe, qm.quotient_edges.poset)):
         assert (a.ranks, a.covers, a.labels) == (b.ranks, b.covers, b.labels)
 
 
@@ -170,6 +172,11 @@ class TestPosetAction:
     def test_rejects_invalid_generator_map(self, ranks, covers, m):
         with pytest.raises(InvalidParams, match=r"map for \(1 2\)"):
             ep.PosetAction(ep.symmetric(2), ep.GradedPoset(ranks, covers), [m])
+
+    def test_rejects_missing_map(self):
+        # S_3 has two generators; one map is one too few
+        with pytest.raises(InvalidParams, match="one element map per group generator"):
+            ep.PosetAction(ep.symmetric(3), ep.boolean_algebra(3), [tuple(range(8))])
 
     def test_rejects_relation_violation(self):
         # C_2 generator sent to a 4-cycle on an antichain: squares to a
@@ -294,20 +301,20 @@ class TestQuotient:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_bn_mod_sn_is_chain(self, n):
         q = ep.quotient(ep.induced_bn_action(ep.symmetric(n)))
-        assert q.poset.rank_vector == tuple([1] * (n + 1))
+        assert q.rank_vector == tuple([1] * (n + 1))
 
     def test_b4_mod_c4_necklaces(self):
         q = ep.quotient(ep.induced_bn_action(ep.cyclic(4)))
-        assert q.poset.rank_vector == (1, 1, 2, 1, 1)
+        assert q.rank_vector == (1, 1, 2, 1, 1)
 
     def test_trivial_quotient_isomorphic(self):
         q = ep.quotient(ep.induced_bn_action(ep.trivial(3)))
-        assert ep.is_isomorphic(q.poset, ep.boolean_algebra(3))[0]
+        assert ep.is_isomorphic(q, ep.boolean_algebra(3))[0]
 
     def test_orbit_ranks_constant(self):
         A = ep.induced_bn_action(ep.dihedral(6))
         for x in range(A.poset.n):
-            rep = ep.quotient(A).reps[A.orbit_of[x]]
+            rep = A.orbit_reps[A.orbit_of[x]]
             assert A.poset.ranks[rep] == A.poset.ranks[x]
 
 
@@ -319,7 +326,7 @@ class TestQuotientCovers:
     @staticmethod
     def assert_matches_all_covers(A):
         want = sorted({(A.orbit_of[x], A.orbit_of[y]) for x, y in A.poset.covers})
-        assert list(ep.quotient(A).poset.covers) == want
+        assert list(ep.quotient(A).covers) == want
 
     def test_random_actions(self, rng):
         for _ in range(60):
@@ -676,12 +683,11 @@ class TestQNotIsomorphism:
         # the witness pair: classes of ({2,4},{1,2,4}) and ({2,4,7},{2,4,6,7})
         # are related in E(B_10/G) but not in E(B_10)/G  (sets 1-indexed)
         x, y, a, b = 0b1010, 0b1011, 0b1001010, 0b1101010
-        _, epos = action_on_edges(A, "E")
         eq = qm.edge_quotient
         qe = qm.quotient_edges
         left = qe.edge_at[A.orbit_of[x]][A.orbit_of[y]]
         right = qe.edge_at[A.orbit_of[a]][A.orbit_of[b]]
         assert qe.poset.leq(left, right)
-        o1 = eq.orbit_of[epos.edge_at[x][y]]
-        o2 = eq.orbit_of[epos.edge_at[a][b]]
+        o1 = eq.edge_at[x][y]
+        o2 = eq.edge_at[a][b]
         assert not eq.poset.leq(o1, o2)

@@ -492,7 +492,7 @@ class TestQuotient:
                 code, out, _ = run(capsys, "quotient", "--gens", str(path), "--n", str(n))
                 assert code == 0
                 h_action, _ = actions.action_on_edges(ep.induced_bn_action(G), "H")
-                expected = list(ep.quotient(h_action).poset.rank_vector)
+                expected = list(ep.quotient(h_action).rank_vector)
                 assert json.loads(out)["rank_vector_h_quotient"] == expected
 
     def test_gens_file(self, tmp_path, capsys):
@@ -818,17 +818,49 @@ def test_env_format_outside_choices_exits_2(argv, value, capsys, monkeypatch):
         ["quotient", "--group", "elementary-abelian-2:3"],
         ["quotient", "--group", "cyclic:x"],
         ["quotient", "--gens", "{missing}"],
+        ["check", "{undecodable}"],
+        ["check", "tree:{undecodable}"],
+        ["quotient", "--gens", "{undecodable}"],
+        ["sweep", "--n", "2", "--gens", "{undecodable}"],
+        ["check", "bn:2", "--out", "{tmp}/no-dir/out.json"],
+        ["check", "bn:2", "--out", "{tmp}"],
+        ["quotient", "--group", "cyclic:3", "--out", "{tmp}/no-dir/out.json"],
+        ["quotient", "--group", "cyclic:3", "--out", "{tmp}"],
+        ["sweep", "--n", "2", "--out", "{tmp}/no-dir/out.json"],
+        ["sweep", "--n", "2", "--out", "{tmp}"],
+        ["pak", "--l", "2", "--m", "2", "--out", "{tmp}/no-dir/out.csv"],
+        ["pak", "--l", "2", "--m", "2", "--out", "{tmp}"],
+        ["pak", "--l", "-1", "--m", "2"],
+        ["quotient", "--group", "symmetric:-1"],
+        ["quotient", "--group", "cyclic:0"],
+        ["quotient", "--group", "dihedral:0"],
+        ["quotient", "--group", "hyperoctahedral:0"],
+        ["quotient", "--gens", "{zero_point}"],
+        ["check", "{short_labels}"],
     ],
     ids=[
         "bn-not-int", "truncated-json", "trivial-without-n", "no-params",
         "elementary-abelian-by-name", "param-not-int", "missing-gens-file",
+        "undecodable-poset", "undecodable-tree", "undecodable-gens",
+        "undecodable-sweep-gens", "check-out-missing-dir", "check-out-dir",
+        "quotient-out-missing-dir", "quotient-out-dir", "sweep-out-missing-dir",
+        "sweep-out-dir", "pak-out-missing-dir", "pak-out-dir", "pak-negative-l",
+        "symmetric-negative", "cyclic-zero", "dihedral-zero", "hyperoctahedral-zero",
+        "zero-point-gens", "short-labels",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
-    truncated = tmp_path / "truncated.json"
-    truncated.write_text('{"ranks": [0, 1], "covers": [[0, ')
-    files = {"{truncated}": str(truncated), "{missing}": str(tmp_path / "missing.txt")}
-    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    contents = {
+        "truncated": b'{"ranks": [0, 1], "covers": [[0, ',
+        "undecodable": b'\xff\xfe{"ranks": [0], "covers": []}',
+        "zero_point": b"(0 1)\n",
+        "short_labels": b'{"ranks": [0, 1], "covers": [[0, 1]], "labels": ["a"]}',
+    }
+    files = {"missing": tmp_path / "missing.txt", "tmp": tmp_path}
+    for name, content in contents.items():
+        files[name] = tmp_path / name
+        files[name].write_bytes(content)
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 

@@ -66,41 +66,55 @@ class TestPCount:
 
 def wreath_quotient(l, m):
     G = ep.wreath(ep.symmetric(m), ep.symmetric(l))
-    return ep.quotient(ep.induced_bn_action(G))
+    A = ep.induced_bn_action(G)
+    return A, ep.quotient(A)
 
 
 class TestYoungRepresentative:
     def test_empty_and_full(self):
-        q = wreath_quotient(2, 3)
-        bottom = q.orbit_of[0]
-        top = q.orbit_of[(1 << 6) - 1]
-        assert ep.young_representative(q, bottom, 2, 3).parts == ()
-        assert ep.young_representative(q, top, 2, 3).parts == (3, 3)
+        A, _ = wreath_quotient(2, 3)
+        bottom = A.orbit_of[0]
+        top = A.orbit_of[(1 << 6) - 1]
+        assert ep.young_representative(A, bottom, 2, 3).parts == ()
+        assert ep.young_representative(A, top, 2, 3).parts == (3, 3)
 
     def test_rank3_orbit_2x2(self):
-        q = wreath_quotient(2, 2)
-        rank3 = [o for o in range(q.poset.n) if q.poset.ranks[o] == 3]
+        A, q = wreath_quotient(2, 2)
+        rank3 = [o for o in range(q.n) if q.ranks[o] == 3]
         assert len(rank3) == 1
-        assert ep.young_representative(q, rank3[0], 2, 2).parts == (2, 1)
+        assert ep.young_representative(A, rank3[0], 2, 2).parts == (2, 1)
 
     def test_orbits_biject_with_box_partitions(self):
-        q = wreath_quotient(2, 3)
-        seen = {ep.young_representative(q, o, 2, 3).parts for o in range(q.poset.n)}
+        A, q = wreath_quotient(2, 3)
+        seen = {ep.young_representative(A, o, 2, 3).parts for o in range(q.n)}
         expected = {
             p.parts for k in range(7) for p in ep.partitions_in_box(k, 2, 3)
         }
-        assert seen == expected and len(seen) == q.poset.n
+        assert seen == expected and len(seen) == q.n
 
     def test_lower_covers_count_corners(self):
-        q = wreath_quotient(2, 3)
-        for o in range(q.poset.n):
-            lam = ep.young_representative(q, o, 2, 3)
-            assert len(q.poset.down[o]) == ep.nu(lam)
+        A, q = wreath_quotient(2, 3)
+        for o in range(q.n):
+            lam = ep.young_representative(A, o, 2, 3)
+            assert len(q.down[o]) == ep.nu(lam)
 
     def test_wrong_group(self):
-        q = ep.quotient(ep.induced_bn_action(ep.cyclic(4)))
+        A = ep.induced_bn_action(ep.cyclic(4))
         with pytest.raises(WrongGroup):
-            ep.young_representative(q, 0, 2, 2)
+            ep.young_representative(A, 0, 2, 2)
+
+    def test_wrong_degree(self):
+        # the 2 x 3 wreath acts on 6 points, not on the 4 of a 2 x 2 box
+        A, _ = wreath_quotient(2, 3)
+        with pytest.raises(WrongGroup):
+            ep.young_representative(A, 0, 2, 2)
+
+    @pytest.mark.parametrize("orbit", [-1, 10])
+    def test_orbit_out_of_range(self, orbit):
+        A, q = wreath_quotient(2, 3)
+        assert q.n == 10
+        with pytest.raises(InvalidParams, match="out of range"):
+            ep.young_representative(A, orbit, 2, 3)
 
 
 class TestPakSequence:
@@ -120,8 +134,8 @@ class TestPakSequence:
             ep.pak_sequence_check(7, 7, 1)
 
     def test_bridge_2x2(self):
-        q = wreath_quotient(2, 2)
-        e = ep.edge_poset(q.poset)
+        _, q = wreath_quotient(2, 2)
+        e = ep.edge_poset(q)
         assert e.poset.rank_vector == (1, 2, 2, 1)
         assert e.poset.rank_vector == tuple(
             ep.p_count(k, 2, 2, 1) for k in range(1, 5)
@@ -138,8 +152,8 @@ class TestPakSequence:
             if l * m <= 9 and {l, m} != {1, 9}
         ]
         for l, m in pairs:
-            q = wreath_quotient(l, m)
-            vec = ep.edge_poset(q.poset).poset.rank_vector
+            _, q = wreath_quotient(l, m)
+            vec = ep.edge_poset(q).poset.rank_vector
             assert vec == tuple(ep.p_count(k, l, m, 1) for k in range(1, l * m + 1))
         for k in range(1, 10):
             assert ep.p_count(k, 1, 9, 1) == 1 == ep.p_count(k, 9, 1, 1)

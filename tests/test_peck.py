@@ -420,6 +420,12 @@ class TestLefschetz:
         assert (U.rows, U.cols) == (3, 3)
         assert sum(map(sum, U.entries)) == 6
 
+    @pytest.mark.parametrize("i", [2, 3, -1])
+    def test_power_matrix_out_of_range(self, i):
+        # B_4's middle rank is 2: rank i must lie strictly below it
+        with pytest.raises(InvalidParams):
+            peck.lefschetz_power_matrix(ep.boolean_algebra(4), i)
+
 
 class TestUnitaryPeck:
     def test_h_b4(self):
@@ -553,7 +559,7 @@ class TestSperner:
 class TestPeck:
     def test_quotient_b5_d10(self):
         q = ep.quotient(ep.induced_bn_action(ep.dihedral(5)))
-        assert ep.is_peck(q.poset)
+        assert ep.is_peck(q)
 
     def test_e_fig2_not_peck(self):
         assert not ep.is_peck(ep.edge_poset(fig2_poset()).poset)
@@ -569,7 +575,7 @@ class TestPeck:
         # quotients of the (unitary Peck) boolean algebra are Peck
         for G in (ep.cyclic(4), ep.cyclic(6), ep.dihedral(6), ep.symmetric(5)):
             q = ep.quotient(ep.induced_bn_action(G))
-            assert ep.is_peck(q.poset)
+            assert ep.is_peck(q)
 
 
 def reference_is_peck(P):

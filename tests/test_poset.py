@@ -118,6 +118,11 @@ class TestLeq:
         P = fig1_poset()
         assert not P.leq(1, 4) and not P.leq(4, 1)
 
+    @pytest.mark.parametrize("x,y", [(-1, 0), (0, 2), (2, 2)])
+    def test_out_of_range(self, x, y):
+        with pytest.raises(IndexOutOfRange):
+            ep.chain(2).leq(x, y)
+
     @given(graded_posets())
     def test_matches_transitive_closure(self, P):
         # brute force: iterate cover-composition to a fixed point
@@ -261,6 +266,11 @@ class TestMorphism:
     def test_rank_violation(self):
         with pytest.raises(InvalidMorphism):
             ep.PosetMorphism(ep.chain(2), ep.chain(2), [1, 0])
+
+    @pytest.mark.parametrize("image", [[0, 2], [-1, 1]])
+    def test_image_out_of_range(self, image):
+        with pytest.raises(InvalidMorphism, match="out of range"):
+            ep.PosetMorphism(ep.chain(2), ep.chain(2), image)
 
     def test_cover_violation(self):
         P = ep.chain(2)
